@@ -397,7 +397,10 @@ let e4 () =
           let patterns =
             List.length (Foc.Pattern.enumerate (List.length vars))
           in
-          let ctx = Foc.Pattern_count.make_ctx preds a ~r in
+          let ctx =
+            Foc.Pattern_count.make_ctx ~metrics:(Foc.Obs.Metrics.create ())
+              preds a ~r
+          in
           let got = Foc.Clterm.eval_ground ctx cl in
           let expected = Foc.Relalg.count preds a vars body in
           Printf.printf "%-28s %3d %3d %10d %8d %8d %6b\n" src
@@ -734,24 +737,25 @@ let e11 () =
     let v, seconds =
       time (fun () -> Foc.Engine.eval_ground eng a (parse_t src))
     in
-    (v, seconds, Foc.Engine.stats eng)
+    (v, seconds, Foc.Engine.metrics eng)
   in
-  let emit family n d cache_mb seconds (st : Foc.Engine.stats) agree =
+  let emit family n d cache_mb seconds m agree =
+    let v = Foc.Obs.Metrics.value m in
     record "E11"
       [
         ("class", S family); ("n", I n); ("d", I d); ("cache_mb", I cache_mb);
-        ("seconds", F seconds); ("balls", I st.balls_computed);
-        ("hits", I st.ball_cache_hits);
-        ("evictions", I st.ball_cache_evictions);
-        ("peak_entries", I st.ball_cache_peak_entries);
-        ("peak_bytes", I st.ball_cache_peak_bytes);
-        ("bfs_visited", I st.bfs_visited); ("agree", B agree);
+        ("seconds", F seconds); ("balls", I (v "ball.computed"));
+        ("hits", I (v "ball.cache_hits"));
+        ("evictions", I (v "ball.cache_evictions"));
+        ("peak_entries", I (v "ball.cache_peak_entries"));
+        ("peak_bytes", I (v "ball.cache_peak_bytes"));
+        ("bfs_visited", I (v "bfs.visited")); ("agree", B agree);
       ];
     Printf.printf
       "%-16s %7d %3d %6d | %8.3fs %8d %8d %8d %7d %9d %10d %6b\n" family n d
-      cache_mb seconds st.balls_computed st.ball_cache_hits
-      st.ball_cache_evictions st.ball_cache_peak_entries
-      st.ball_cache_peak_bytes st.bfs_visited agree
+      cache_mb seconds (v "ball.computed") (v "ball.cache_hits")
+      (v "ball.cache_evictions") (v "ball.cache_peak_entries")
+      (v "ball.cache_peak_bytes") (v "bfs.visited") agree
   in
   Printf.printf "%-16s %7s %3s %6s | %9s %8s %8s %8s %7s %9s %10s %6s\n"
     "class" "n" "d" "cache" "seconds" "balls" "hits" "evict" "peak#"
@@ -1019,7 +1023,9 @@ let e13 () =
       let v_eng, t_eng =
         time (fun () -> Foc.Engine.eval_ground eng a q_path)
       in
-      let fell = (Foc.Engine.stats eng).fallbacks > 0 in
+      let fell =
+        Foc.Obs.Metrics.value (Foc.Engine.metrics eng) "engine.fallbacks" > 0
+      in
       let v_seed, t_seed =
         time (fun () -> Foc.Relalg.term_value ~plan:false preds a [] q_path)
       in
@@ -2101,7 +2107,10 @@ let micro_suite () =
                   (parse "E(x,y) & B(y)"))));
       Test.make ~name:"unary sweep direct 5k (E3)"
         (Staged.stage (fun () ->
-             let ctx = Foc.Pattern_count.make_ctx preds a ~r:1 in
+             let ctx =
+               Foc.Pattern_count.make_ctx ~metrics:(Foc.Obs.Metrics.create ())
+                 preds a ~r:1
+             in
              ignore (Foc.Clterm.eval_unary ctx cl)));
       Test.make ~name:"relalg term_counts 5k"
         (Staged.stage (fun () -> ignore (Foc.Relalg.term_counts preds a term)));

@@ -7,6 +7,15 @@ set -e
 cd "$(dirname "$0")"
 dune build
 dune runtest
+# every walkthrough in examples/ must run to completion (quickstart and
+# triangles read engine counters through the public metrics API)
+for ex in quickstart sql_counts triangles hardness_demo covers_demo \
+  hanf_demo; do
+  dune exec "examples/$ex.exe" > /dev/null || {
+    echo "ci: example $ex failed"
+    exit 1
+  }
+done
 dune exec bench/main.exe -- --only E11 --smoke
 dune exec bench/main.exe -- --only E12 --smoke
 # E13 exits non-zero if the planned and unplanned relational engines

@@ -53,8 +53,9 @@ let () =
   Printf.printf "engine agrees with naive semantics: %b\n" (naive = engine);
 
   (* engine telemetry *)
-  let st = Foc.Engine.stats eng in
+  let st = Foc.Obs.Metrics.value (Foc.Engine.metrics eng) in
   Printf.printf
     "engine stats: %d cl-terms (%d basic), %d materialised relations, %d \
      fallbacks\n"
-    st.clterms_built st.basic_terms st.materialised st.fallbacks
+    (st "engine.clterms_built") (st "engine.basic_terms")
+    (st "engine.materialised") (st "engine.fallbacks")

@@ -68,7 +68,8 @@ let () =
     end
   | [] -> ());
 
-  let st = Foc.Engine.stats eng in
+  let st = Foc.Obs.Metrics.value (Foc.Engine.metrics eng) in
   Printf.printf
     "engine stats: %d materialised relations, %d cl-terms, %d fallbacks\n"
-    st.materialised st.clterms_built st.fallbacks
+    (st "engine.materialised") (st "engine.clterms_built")
+    (st "engine.fallbacks")

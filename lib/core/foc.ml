@@ -87,7 +87,6 @@ module Hanf_backend = Foc_nd.Hanf_backend
 module Ball_type = Foc_bd.Ball_type
 module Hanf = Foc_bd.Hanf
 module Classes = Foc_nd.Classes
-module Incremental = Foc_nd.Incremental
 module Plan = Foc_nd.Plan
 module Session = Foc_serve.Session
 module Budget_cache = Foc_serve.Budget_cache

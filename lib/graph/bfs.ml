@@ -68,7 +68,6 @@ type searcher = {
   mutable epoch : int;
   queue : int array;  (* visited vertices of the current epoch, BFS order *)
   mutable count : int;  (* number of visited vertices *)
-  mutable total_visited : int;  (* lifetime counter, for engine stats *)
 }
 
 let searcher g =
@@ -80,13 +79,11 @@ let searcher g =
     epoch = 0;
     queue = Array.make (max n 1) 0;
     count = 0;
-    total_visited = 0;
   }
 
 let searcher_graph s = s.g
 let visited_count s = s.count
 let visited s i = s.queue.(i)
-let total_visited s = s.total_visited
 
 let mem s v = v >= 0 && v < Array.length s.stamp && s.stamp.(v) = s.epoch
 let dist_of s v = if mem s v then s.dist.(v) else infinity
@@ -117,7 +114,6 @@ let run s ~centres ~radius =
         if s.stamp.(v) <> s.epoch then enqueue v (du + 1)
       done
   done;
-  s.total_visited <- s.total_visited + s.count;
   s.count
 
 let ball_sorted s ~centres ~radius =

@@ -13,10 +13,9 @@ let rec required_cover_radius = function
 (* Per-element counts of one basic term via the cluster sweep. Every element
    is evaluated exactly once, inside the cluster its kernel assignment points
    to; ball arguments above show the count computed in A[X] equals the count
-   in A. [stats_sink], when given, receives the summed ball-cache snapshot
-   of all cluster contexts (delivered once, after the parallel join, so the
-   callback never runs concurrently). *)
-let basic_vector ?(jobs = 1) ?cache_bytes ?stats_sink preds a cover
+   in A. Each executor's cluster contexts charge a private registry, merged
+   into [metrics] after the parallel join. *)
+let basic_vector ?(jobs = 1) ?cache_bytes ~metrics preds a cover
     (b : Clterm.basic) =
   let n = Foc_data.Structure.order a in
   let out = Array.make n 0 in
@@ -30,20 +29,20 @@ let basic_vector ?(jobs = 1) ?cache_bytes ?stats_sink preds a cover
     out
   end
   else begin
-    let cluster_stats =
-      Array.make (Foc_graph.Cover.cluster_count cover) None
-    in
     (* clusters are independent: each sweep builds its own induced
        substructure and context, and the kernels partition the universe, so
        parallel cluster tasks write disjoint slots of [out] *)
-    let eval_cluster i =
+    let eval_cluster registry i =
       let kernel = Foc_graph.Cover.kernel cover i in
       if Array.length kernel > 0 then begin
         let members = Array.to_list (Foc_graph.Cover.cluster cover i) in
         let sub, old_of_new = Foc_data.Structure.induced a members in
         let new_of_old = Hashtbl.create (Array.length old_of_new) in
         Array.iteri (fun nw od -> Hashtbl.replace new_of_old od nw) old_of_new;
-        let ctx = Pattern_count.make_ctx ?cache_bytes preds sub ~r:b.radius in
+        let ctx =
+          Pattern_count.make_ctx ?cache_bytes ~metrics:registry preds sub
+            ~r:b.radius
+        in
         let plan =
           Pattern_count.make_plan ctx ~pattern:b.pattern ~vars:b.vars
             ~body:b.body
@@ -54,22 +53,16 @@ let basic_vector ?(jobs = 1) ?cache_bytes ?stats_sink preds a cover
             out.(old_elt) <-
               Pattern_count.at ~plan ctx ~pattern:b.pattern ~vars:b.vars
                 ~body:b.body ~anchor)
-          kernel;
-        cluster_stats.(i) <- Some (Pattern_count.snapshot ctx)
+          kernel
       end
     in
-    Foc_par.parallel_for ~jobs ~label:"sweep.clusters"
-      (Foc_graph.Cover.cluster_count cover)
-      eval_cluster;
-    (match stats_sink with
-    | None -> ()
-    | Some sink ->
-        sink
-          (Array.fold_left
-             (fun acc -> function
-               | None -> acc
-               | Some s -> Pattern_count.add_snapshot acc s)
-             Pattern_count.empty_snapshot cluster_stats));
+    let _, registries =
+      Foc_par.tabulate_ctx ~jobs ~label:"sweep.clusters"
+        ~make_ctx:Foc_obs.Metrics.create
+        (Foc_graph.Cover.cluster_count cover)
+        eval_cluster
+    in
+    List.iter (Foc_obs.Metrics.merge ~into:metrics) registries;
     out
   end
 
@@ -82,11 +75,11 @@ let check_radius cover t =
          (Foc_graph.Cover.radius_param cover)
          needed)
 
-let rec eval_vector ?jobs ?cache_bytes ?stats_sink preds a cover = function
+let rec eval_vector ?jobs ?cache_bytes ~metrics preds a cover = function
   | Clterm.Const i -> Array.make (Foc_data.Structure.order a) i
-  | Clterm.Unary b -> basic_vector ?jobs ?cache_bytes ?stats_sink preds a cover b
+  | Clterm.Unary b -> basic_vector ?jobs ?cache_bytes ~metrics preds a cover b
   | Clterm.Ground b ->
-      let per = basic_vector ?jobs ?cache_bytes ?stats_sink preds a cover b in
+      let per = basic_vector ?jobs ?cache_bytes ~metrics preds a cover b in
       let total =
         if Foc_graph.Pattern.k b.pattern = 0 then if per.(0) > 0 then 1 else 0
         else Array.fold_left ( + ) 0 per
@@ -94,35 +87,35 @@ let rec eval_vector ?jobs ?cache_bytes ?stats_sink preds a cover = function
       Array.make (Foc_data.Structure.order a) total
   | Clterm.Add (s, t) ->
       Array.map2 ( + )
-        (eval_vector ?jobs ?cache_bytes ?stats_sink preds a cover s)
-        (eval_vector ?jobs ?cache_bytes ?stats_sink preds a cover t)
+        (eval_vector ?jobs ?cache_bytes ~metrics preds a cover s)
+        (eval_vector ?jobs ?cache_bytes ~metrics preds a cover t)
   | Clterm.Mul (s, t) ->
       Array.map2 ( * )
-        (eval_vector ?jobs ?cache_bytes ?stats_sink preds a cover s)
-        (eval_vector ?jobs ?cache_bytes ?stats_sink preds a cover t)
+        (eval_vector ?jobs ?cache_bytes ~metrics preds a cover s)
+        (eval_vector ?jobs ?cache_bytes ~metrics preds a cover t)
 
-let eval_unary ?jobs ?cache_bytes ?stats_sink preds a cover t =
+let eval_unary ?jobs ?cache_bytes ~metrics preds a cover t =
   check_radius cover t;
   if Foc_data.Structure.order a = 0 then [||]
-  else eval_vector ?jobs ?cache_bytes ?stats_sink preds a cover t
+  else eval_vector ?jobs ?cache_bytes ~metrics preds a cover t
 
-let rec eval_ground_aux ?jobs ?cache_bytes ?stats_sink preds a cover = function
+let rec eval_ground_aux ?jobs ?cache_bytes ~metrics preds a cover = function
   | Clterm.Const i -> i
   | Clterm.Unary _ -> invalid_arg "Cover_term.eval_ground: unary leaf"
   | Clterm.Ground b ->
       if Foc_graph.Pattern.k b.pattern = 0 then
         if Local_eval.holds preds a Var.Map.empty b.body then 1 else 0
       else begin
-        let per = basic_vector ?jobs ?cache_bytes ?stats_sink preds a cover b in
+        let per = basic_vector ?jobs ?cache_bytes ~metrics preds a cover b in
         Array.fold_left ( + ) 0 per
       end
   | Clterm.Add (s, t) ->
-      eval_ground_aux ?jobs ?cache_bytes ?stats_sink preds a cover s
-      + eval_ground_aux ?jobs ?cache_bytes ?stats_sink preds a cover t
+      eval_ground_aux ?jobs ?cache_bytes ~metrics preds a cover s
+      + eval_ground_aux ?jobs ?cache_bytes ~metrics preds a cover t
   | Clterm.Mul (s, t) ->
-      eval_ground_aux ?jobs ?cache_bytes ?stats_sink preds a cover s
-      * eval_ground_aux ?jobs ?cache_bytes ?stats_sink preds a cover t
+      eval_ground_aux ?jobs ?cache_bytes ~metrics preds a cover s
+      * eval_ground_aux ?jobs ?cache_bytes ~metrics preds a cover t
 
-let eval_ground ?jobs ?cache_bytes ?stats_sink preds a cover t =
+let eval_ground ?jobs ?cache_bytes ~metrics preds a cover t =
   check_radius cover t;
-  eval_ground_aux ?jobs ?cache_bytes ?stats_sink preds a cover t
+  eval_ground_aux ?jobs ?cache_bytes ~metrics preds a cover t

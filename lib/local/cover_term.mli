@@ -29,14 +29,13 @@ val required_cover_radius : Clterm.t -> int
     [jobs = 1].
 
     [cache_bytes] bounds each cluster context's ball cache (see
-    {!Pattern_count.make_ctx}). [stats_sink], when given, is called (on the
-    calling domain, after each parallel sweep joins) with the summed
-    {!Pattern_count.snapshot} of the sweep's cluster contexts — once per
-    basic leaf evaluated. *)
+    {!Pattern_count.make_ctx}). The cluster contexts' ball counters end up
+    in [metrics]: each executor charges a private registry, merged in on
+    the calling domain after the parallel sweep joins. *)
 val eval_unary :
   ?jobs:int ->
   ?cache_bytes:int ->
-  ?stats_sink:(Pattern_count.snapshot -> unit) ->
+  metrics:Foc_obs.Metrics.t ->
   Pred.collection ->
   Foc_data.Structure.t ->
   Foc_graph.Cover.t ->
@@ -44,11 +43,11 @@ val eval_unary :
   int array
 
 (** [eval_ground preds a cover t] — ground cl-terms only. [jobs],
-    [cache_bytes], [stats_sink] as in {!eval_unary}. *)
+    [cache_bytes], [metrics] as in {!eval_unary}. *)
 val eval_ground :
   ?jobs:int ->
   ?cache_bytes:int ->
-  ?stats_sink:(Pattern_count.snapshot -> unit) ->
+  metrics:Foc_obs.Metrics.t ->
   Pred.collection ->
   Foc_data.Structure.t ->
   Foc_graph.Cover.t ->

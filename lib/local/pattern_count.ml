@@ -1,4 +1,6 @@
 open Foc_logic
+module Counter = Foc_obs.Metrics.Counter
+module Gauge = Foc_obs.Metrics.Gauge
 
 (* ------------------------------------------------------------------ *)
 (* Compact balls. A (2r+1)-ball is stored either as a sorted int array
@@ -54,71 +56,32 @@ type cache = {
   mutable bytes_used : int;
 }
 
-type stats = {
-  mutable computed : int;  (* balls computed (BFS runs) *)
-  mutable hits : int;
-  mutable evictions : int;
-  mutable peak_entries : int;
-  mutable peak_bytes : int;
-  mutable merged_bfs_visited : int;
-      (* BFS vertices from merged clone contexts; the live searcher's own
-         counter is added in [snapshot] *)
+(* Handles into the registry a context charges, resolved once so that the
+   sweep's hot path is a plain int store. *)
+type meters = {
+  registry : Foc_obs.Metrics.t;
+  computed : Counter.t;  (* balls computed (BFS runs) *)
+  hits : Counter.t;
+  evictions : Counter.t;
+  peak_entries : Gauge.t;
+  peak_bytes : Gauge.t;
+  bfs_visited : Counter.t;
 }
 
-let fresh_stats () =
+let meters registry =
+  let c = Foc_obs.Metrics.counter registry
+  and g = Foc_obs.Metrics.gauge registry in
   {
-    computed = 0;
-    hits = 0;
-    evictions = 0;
-    peak_entries = 0;
-    peak_bytes = 0;
-    merged_bfs_visited = 0;
+    registry;
+    computed = c "ball.computed";
+    hits = c "ball.cache_hits";
+    evictions = c "ball.cache_evictions";
+    peak_entries = g "ball.cache_peak_entries";
+    peak_bytes = g "ball.cache_peak_bytes";
+    bfs_visited = c "bfs.visited";
   }
 
-type snapshot = {
-  balls_computed : int;
-  cache_hits : int;
-  cache_evictions : int;
-  cache_peak_entries : int;
-  cache_peak_bytes : int;
-  bfs_visited : int;
-}
-
-let empty_snapshot =
-  {
-    balls_computed = 0;
-    cache_hits = 0;
-    cache_evictions = 0;
-    cache_peak_entries = 0;
-    cache_peak_bytes = 0;
-    bfs_visited = 0;
-  }
-
-(* Counter delta between two snapshots of one long-lived context: counters
-   subtract, peaks pass through as [now]'s values (the consumer folds them
-   with max anyway). This is how a persistent session context reports
-   per-evaluation statistics without double counting. *)
-let diff_snapshot now before =
-  {
-    balls_computed = now.balls_computed - before.balls_computed;
-    cache_hits = now.cache_hits - before.cache_hits;
-    cache_evictions = now.cache_evictions - before.cache_evictions;
-    cache_peak_entries = now.cache_peak_entries;
-    cache_peak_bytes = now.cache_peak_bytes;
-    bfs_visited = now.bfs_visited - before.bfs_visited;
-  }
-
-(* counters add; peaks combine as max (each context's residency was
-   separate in time or in a separate domain) *)
-let add_snapshot a b =
-  {
-    balls_computed = a.balls_computed + b.balls_computed;
-    cache_hits = a.cache_hits + b.cache_hits;
-    cache_evictions = a.cache_evictions + b.cache_evictions;
-    cache_peak_entries = max a.cache_peak_entries b.cache_peak_entries;
-    cache_peak_bytes = max a.cache_peak_bytes b.cache_peak_bytes;
-    bfs_visited = a.bfs_visited + b.bfs_visited;
-  }
+let register_metrics registry = ignore (meters registry)
 
 let default_cache_bytes = 64 * 1024 * 1024
 
@@ -131,10 +94,10 @@ type ctx = {
   mutable searcher : Foc_graph.Bfs.searcher option;  (* lazy: forces gaifman *)
   seen : int array;  (* epoch-stamped candidate-dedup scratch *)
   mutable seen_epoch : int;
-  st : stats;
+  m : meters;
 }
 
-let make_ctx ?(cache_bytes = default_cache_bytes) preds structure ~r =
+let make_ctx ?(cache_bytes = default_cache_bytes) ~metrics preds structure ~r =
   if r < 0 then invalid_arg "Pattern_count.make_ctx: negative radius";
   {
     preds;
@@ -151,30 +114,14 @@ let make_ctx ?(cache_bytes = default_cache_bytes) preds structure ~r =
     searcher = None;
     seen = Array.make (max (Foc_data.Structure.order structure) 1) 0;
     seen_epoch = 0;
-    st = fresh_stats ();
+    m = meters metrics;
   }
 
 let order ctx = Foc_data.Structure.order ctx.structure
-let balls_computed ctx = ctx.st.computed
-
-let snapshot ctx =
-  let live =
-    match ctx.searcher with
-    | Some s -> Foc_graph.Bfs.total_visited s
-    | None -> 0
-  in
-  {
-    balls_computed = ctx.st.computed;
-    cache_hits = ctx.st.hits;
-    cache_evictions = ctx.st.evictions;
-    cache_peak_entries = ctx.st.peak_entries;
-    cache_peak_bytes = ctx.st.peak_bytes;
-    bfs_visited = ctx.st.merged_bfs_visited + live;
-  }
 
 (* A fresh ball cache and BFS arena over the same structure — one per worker
-   domain, so parallel sweeps never share mutable state. Counter merges at
-   join keep the statistics meaningful. *)
+   domain, so parallel sweeps never share mutable state. Each clone charges
+   a private registry, folded into the parent's at the join. *)
 let clone_ctx ctx =
   {
     ctx with
@@ -188,8 +135,13 @@ let clone_ctx ctx =
     searcher = None;
     seen = Array.make (Array.length ctx.seen) 0;
     seen_epoch = 0;
-    st = fresh_stats ();
+    m = meters (Foc_obs.Metrics.create ());
   }
+
+let merge_clones ~into clones =
+  List.iter
+    (fun c -> Foc_obs.Metrics.merge ~into:into.m.registry c.m.registry)
+    clones
 
 let cache_resident_bytes ctx = ctx.cache.bytes_used
 
@@ -199,19 +151,13 @@ let cache_resident_bytes ctx = ctx.cache.bytes_used
    graph: ball contents depend only on the graph, so for unary updates
    (graph preserved) nothing need be dropped, and for edge updates only
    centres within the 2r+1 threshold of the touched elements are affected
-   (exactly the invalidation radius of {!Foc_nd.Incremental}). The BFS
-   searcher is rebuilt lazily against the new graph; statistics carry
-   over (the live searcher's visit counter is folded in first, keeping
-   snapshots monotone). Returns the rebound context and the number of
-   balls dropped. The old context must not be used afterwards. *)
+   (the 2r+1 invalidation radius of the paper's locality argument). The
+   BFS searcher is rebuilt lazily against the new graph; the context keeps
+   charging the same registry. Returns the rebound context and the number
+   of balls dropped. The old context must not be used afterwards. *)
 let rebind_ctx ctx structure ~drop =
   if Foc_data.Structure.order structure <> order ctx then
     invalid_arg "Pattern_count.rebind_ctx: order changed";
-  (match ctx.searcher with
-  | Some s ->
-      ctx.st.merged_bfs_visited <-
-        ctx.st.merged_bfs_visited + Foc_graph.Bfs.total_visited s
-  | None -> ());
   let c = ctx.cache in
   let tbl = Hashtbl.create (max 16 (Hashtbl.length c.tbl)) in
   let fifo = Queue.create () in
@@ -236,19 +182,6 @@ let rebind_ctx ctx structure ~drop =
       searcher = None;
     },
     !dropped )
-
-let merge_ctx_stats ~into clones =
-  List.iter
-    (fun c ->
-      let s = snapshot c in
-      into.st.computed <- into.st.computed + s.balls_computed;
-      into.st.hits <- into.st.hits + s.cache_hits;
-      into.st.evictions <- into.st.evictions + s.cache_evictions;
-      into.st.peak_entries <- max into.st.peak_entries s.cache_peak_entries;
-      into.st.peak_bytes <- max into.st.peak_bytes s.cache_peak_bytes;
-      into.st.merged_bfs_visited <-
-        into.st.merged_bfs_visited + s.bfs_visited)
-    clones
 
 let searcher ctx =
   match ctx.searcher with
@@ -276,14 +209,14 @@ let cache_evict ctx =
         | Some e ->
             Hashtbl.remove c.tbl key;
             c.bytes_used <- c.bytes_used - e.bytes;
-            ctx.st.evictions <- ctx.st.evictions + 1)
+            Counter.inc ctx.m.evictions)
   done
 
 let ball_of ctx v =
   match Hashtbl.find_opt ctx.cache.tbl v with
   | Some e ->
       e.referenced <- true;
-      ctx.st.hits <- ctx.st.hits + 1;
+      Counter.inc ctx.m.hits;
       e.ball
   | None ->
       let s = searcher ctx in
@@ -305,14 +238,14 @@ let ball_of ctx v =
           Sorted a
         end
       in
-      ctx.st.computed <- ctx.st.computed + 1;
+      Counter.inc ctx.m.computed;
+      Counter.add ctx.m.bfs_visited count;
       let bytes = ball_bytes b in
       Hashtbl.replace ctx.cache.tbl v { ball = b; bytes; referenced = false };
       Queue.add v ctx.cache.fifo;
       ctx.cache.bytes_used <- ctx.cache.bytes_used + bytes;
-      ctx.st.peak_entries <-
-        max ctx.st.peak_entries (Hashtbl.length ctx.cache.tbl);
-      ctx.st.peak_bytes <- max ctx.st.peak_bytes ctx.cache.bytes_used;
+      Gauge.set_max ctx.m.peak_entries (Hashtbl.length ctx.cache.tbl);
+      Gauge.set_max ctx.m.peak_bytes ctx.cache.bytes_used;
       cache_evict ctx;
       b
 
@@ -492,7 +425,7 @@ let per_anchor ?(jobs = 1) ctx ~pattern ~vars ~body =
     Array.init n (fun a -> count_at ~plan ctx ~pattern ~vars ~body a)
   else begin
     (* the anchors are independent; the plan is immutable and shared, the
-       ball caches are per-domain clones merged at join *)
+       ball caches are per-domain clones whose counters merge at the join *)
     Foc_data.Structure.prepare ctx.structure;
     let out, clones =
       Foc_par.tabulate_ctx ~jobs ~label:"sweep.anchors"
@@ -500,7 +433,7 @@ let per_anchor ?(jobs = 1) ctx ~pattern ~vars ~body =
         n
         (fun c a -> count_at ~plan c ~pattern ~vars ~body a)
     in
-    merge_ctx_stats ~into:ctx clones;
+    merge_clones ~into:ctx clones;
     out
   end
 
@@ -529,7 +462,7 @@ let ground ?(jobs = 1) ctx ~pattern ~vars ~body =
           ~map:(fun c a -> count_at ~plan c ~pattern ~vars ~body a)
           ~reduce:( + ) 0
       in
-      merge_ctx_stats ~into:ctx clones;
+      merge_clones ~into:ctx clones;
       total
     end
   end

@@ -25,40 +25,29 @@ open Foc_logic
     (2r+1)-balls computed while sweeping a structure. *)
 type ctx
 
-(** [make_ctx ?cache_bytes preds a ~r] — [cache_bytes] bounds the memory
-    retained by cached balls (approximate heap bytes; default 64 MiB).
-    Values [<= 0] degenerate to a one-entry cache: the most recently
-    computed ball is always retained, everything else is evicted. *)
+(** [make_ctx ?cache_bytes ~metrics preds a ~r] — [cache_bytes] bounds the
+    memory retained by cached balls (approximate heap bytes; default
+    64 MiB). Values [<= 0] degenerate to a one-entry cache: the most
+    recently computed ball is always retained, everything else is evicted.
+
+    The context charges its work to [metrics] as it happens: counters
+    [ball.computed] (BFS ball computations, i.e. cache misses),
+    [ball.cache_hits], [ball.cache_evictions] and [bfs.visited] (vertices
+    visited by those BFS runs), and peak gauges [ball.cache_peak_entries]
+    and [ball.cache_peak_bytes] (the most balls / approximate bytes one
+    context held at once). Parallel sweeps charge a private registry per
+    domain and {!Foc_obs.Metrics.merge} it into [metrics] at the join. *)
 val make_ctx :
-  ?cache_bytes:int -> Pred.collection -> Foc_data.Structure.t -> r:int -> ctx
+  ?cache_bytes:int ->
+  metrics:Foc_obs.Metrics.t ->
+  Pred.collection ->
+  Foc_data.Structure.t ->
+  r:int ->
+  ctx
 
-(** Cache/statistics: number of ball computations performed. *)
-val balls_computed : ctx -> int
-
-(** Aggregated observability counters for one context (including everything
-    merged from per-domain clones). *)
-type snapshot = {
-  balls_computed : int;  (** BFS ball computations (cache misses) *)
-  cache_hits : int;
-  cache_evictions : int;
-  cache_peak_entries : int;  (** max balls resident at once *)
-  cache_peak_bytes : int;  (** max approximate bytes resident at once *)
-  bfs_visited : int;  (** total vertices visited by ball BFS runs *)
-}
-
-val snapshot : ctx -> snapshot
-
-val empty_snapshot : snapshot
-
-(** [add_snapshot a b] — counters add, peaks combine as [max] (the two
-    contexts' residencies were separate in time or in separate domains). *)
-val add_snapshot : snapshot -> snapshot -> snapshot
-
-(** [diff_snapshot now before] — the per-evaluation delta of a long-lived
-    context: counters subtract, peaks pass through as [now]'s values.
-    Lets a persistent (session) context report each evaluation's work
-    without double counting. *)
-val diff_snapshot : snapshot -> snapshot -> snapshot
+val register_metrics : Foc_obs.Metrics.t -> unit
+(** Register the metrics a context charges (at zero, where absent), so a
+    report lists them before the first sweep. *)
 
 (** Approximate bytes currently retained by the ball cache. *)
 val cache_resident_bytes : ctx -> int
@@ -95,9 +84,9 @@ val make_plan :
     connected and non-empty; [free body ⊆ vars].
 
     [jobs > 1] sweeps the anchors on that many domains ({!Foc_par}); each
-    domain uses a private ball-cache/arena clone of [ctx] (merged into
-    [ctx]'s statistics at join) and the result is bit-identical to
-    [jobs = 1]. *)
+    domain uses a private ball-cache/arena clone of [ctx] (its counters
+    merged into [ctx]'s registry at the join) and the result is
+    bit-identical to [jobs = 1]. *)
 val per_anchor :
   ?jobs:int ->
   ctx ->

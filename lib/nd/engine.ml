@@ -35,29 +35,14 @@ let default_config =
     adaptive = true;
   }
 
-type stats = {
-  mutable materialised : int;
-  mutable clterms_built : int;
-  mutable basic_terms : int;
-  mutable fallbacks : int;
-  mutable covers_built : int;
-  mutable removals : int;
-  mutable balls_computed : int;
-  mutable ball_cache_hits : int;
-  mutable ball_cache_evictions : int;
-  mutable ball_cache_peak_entries : int;
-  mutable ball_cache_peak_bytes : int;
-  mutable bfs_visited : int;
-}
-
 exception Outside_fragment of string
 
 (* The engine's counters live in a {!Foc_obs.Metrics} registry (one per
-   engine); the [stats] record above is kept as a read-only view built on
-   demand, so existing callers keep working while new counters (and the
-   sweep-duration histogram) are picked up by [Metrics.line]/[report]
-   automatically. Handles are resolved once here — the increment path is a
-   plain int store, same cost as the old mutable record fields. *)
+   engine), so every counter (and the sweep-duration histogram) is picked
+   up by [Metrics.line]/[report] automatically. Handles are resolved once
+   here — the increment path is a plain int store. Ball-cache counters are
+   charged to the same registry by the {!Pattern_count} contexts the
+   engine makes. *)
 type handles = {
   registry : Foc_obs.Metrics.t;
   materialised : Foc_obs.Metrics.Counter.t;
@@ -66,18 +51,13 @@ type handles = {
   fallbacks : Foc_obs.Metrics.Counter.t;
   covers_built : Foc_obs.Metrics.Counter.t;
   removals : Foc_obs.Metrics.Counter.t;
-  balls_computed : Foc_obs.Metrics.Counter.t;
-  ball_cache_hits : Foc_obs.Metrics.Counter.t;
-  ball_cache_evictions : Foc_obs.Metrics.Counter.t;
-  ball_cache_peak_entries : Foc_obs.Metrics.Gauge.t;
-  ball_cache_peak_bytes : Foc_obs.Metrics.Gauge.t;
-  bfs_visited : Foc_obs.Metrics.Counter.t;
   sweep_ns : Foc_obs.Metrics.Histogram.t;
 }
 
 let make_handles () =
   let r = Foc_obs.Metrics.create () in
-  let c = Foc_obs.Metrics.counter r and g = Foc_obs.Metrics.gauge r in
+  let c = Foc_obs.Metrics.counter r in
+  Pattern_count.register_metrics r;
   {
     registry = r;
     materialised = c "engine.materialised";
@@ -86,12 +66,6 @@ let make_handles () =
     fallbacks = c "engine.fallbacks";
     covers_built = c "engine.covers_built";
     removals = c "engine.removals";
-    balls_computed = c "ball.computed";
-    ball_cache_hits = c "ball.cache_hits";
-    ball_cache_evictions = c "ball.cache_evictions";
-    ball_cache_peak_entries = g "ball.cache_peak_entries";
-    ball_cache_peak_bytes = g "ball.cache_peak_bytes";
-    bfs_visited = c "bfs.visited";
     sweep_ns = Foc_obs.Metrics.histogram r "sweep.ns";
   }
 
@@ -156,24 +130,6 @@ let relalg_ctx t =
 
 let set_artifacts t art = t.art <- art
 
-let stats t =
-  let cv = Foc_obs.Metrics.Counter.value
-  and gv = Foc_obs.Metrics.Gauge.value in
-  {
-    materialised = cv t.m.materialised;
-    clterms_built = cv t.m.clterms_built;
-    basic_terms = cv t.m.basic_terms;
-    fallbacks = cv t.m.fallbacks;
-    covers_built = cv t.m.covers_built;
-    removals = cv t.m.removals;
-    balls_computed = cv t.m.balls_computed;
-    ball_cache_hits = cv t.m.ball_cache_hits;
-    ball_cache_evictions = cv t.m.ball_cache_evictions;
-    ball_cache_peak_entries = gv t.m.ball_cache_peak_entries;
-    ball_cache_peak_bytes = gv t.m.ball_cache_peak_bytes;
-    bfs_visited = cv t.m.bfs_visited;
-  }
-
 let metrics t = t.m.registry
 let stats_line t = Foc_obs.Metrics.line t.m.registry
 let config t = t.cfg
@@ -186,20 +142,6 @@ let fallback t what =
   if not t.cfg.allow_fallback then raise (Outside_fragment what);
   Foc_obs.Log.info (fun () -> "engine: fallback to baseline: " ^ what);
   Foc_obs.Metrics.Counter.inc t.m.fallbacks
-
-(* Ball-cache observability: every back-end evaluation folds its contexts'
-   counters into the engine registry here, on the calling domain, after any
-   parallel sweep has joined — the registry is never touched concurrently.
-   Counters add across evaluations; peaks are maxima of per-evaluation
-   residency (the caches do not persist between calls). *)
-let absorb t (s : Pattern_count.snapshot) =
-  let open Foc_obs.Metrics in
-  Counter.add t.m.balls_computed s.balls_computed;
-  Counter.add t.m.ball_cache_hits s.cache_hits;
-  Counter.add t.m.ball_cache_evictions s.cache_evictions;
-  Gauge.set_max t.m.ball_cache_peak_entries s.cache_peak_entries;
-  Gauge.set_max t.m.ball_cache_peak_bytes s.cache_peak_bytes;
-  Counter.add t.m.bfs_visited s.bfs_visited
 
 let cache_bytes t = t.cfg.ball_cache_mb * 1024 * 1024
 
@@ -249,7 +191,8 @@ let make_cover t a ~rc =
   cover
 
 let make_pattern_ctx t a ~r =
-  Pattern_count.make_ctx ~cache_bytes:(cache_bytes t) t.cfg.preds a ~r
+  Pattern_count.make_ctx ~cache_bytes:(cache_bytes t) ~metrics:t.m.registry
+    t.cfg.preds a ~r
 
 let cover_for t a ~rc =
   match t.art with
@@ -311,29 +254,18 @@ let with_artifacts t f =
       t.art <- Some (default_artifacts t);
       Fun.protect ~finally:(fun () -> t.art <- None) f
 
-(* Direct sweeps run on a context that may be long-lived (per-call memo or
-   session cache), so the engine absorbs the per-evaluation *delta* of its
-   counters — a fresh context degenerates to the full snapshot. *)
-let with_ctx_delta t ctx f =
-  let before = Pattern_count.snapshot ctx in
-  let v = f ctx in
-  absorb t (Pattern_count.diff_snapshot (Pattern_count.snapshot ctx) before);
-  v
-
 let eval_cl_ground t a cl =
   count_cl t cl;
   let jobs = t.cfg.jobs in
   match t.cfg.backend with
   | Direct ->
       sweep t (fun () ->
-          with_ctx_delta t
-            (ctx_for t a ~r:(cl_radius cl))
-            (fun ctx -> Clterm.eval_ground ~jobs ctx cl))
+          Clterm.eval_ground ~jobs (ctx_for t a ~r:(cl_radius cl)) cl)
   | Cover ->
       let cover = cover_for t a ~rc:(Cover_term.required_cover_radius cl) in
       sweep t (fun () ->
           Cover_term.eval_ground ~jobs ~cache_bytes:(cache_bytes t)
-            ~stats_sink:(absorb t) t.cfg.preds a cover cl)
+            ~metrics:t.m.registry t.cfg.preds a cover cl)
   | Splitter { max_rounds; small } ->
       (* the removal recursion mutates shared state; it stays sequential *)
       sweep t (fun () ->
@@ -343,7 +275,7 @@ let eval_cl_ground t a cl =
   | Hanf ->
       sweep t (fun () ->
           Hanf_backend.eval_ground ~jobs ~cache_bytes:(cache_bytes t)
-            ?classes_for:(hanf_classes_for t a) ~stats_sink:(absorb t)
+            ?classes_for:(hanf_classes_for t a) ~metrics:t.m.registry
             t.cfg.preds a cl)
 
 let eval_cl_unary t a cl =
@@ -352,14 +284,12 @@ let eval_cl_unary t a cl =
   match t.cfg.backend with
   | Direct ->
       sweep t (fun () ->
-          with_ctx_delta t
-            (ctx_for t a ~r:(cl_radius cl))
-            (fun ctx -> Clterm.eval_unary ~jobs ctx cl))
+          Clterm.eval_unary ~jobs (ctx_for t a ~r:(cl_radius cl)) cl)
   | Cover ->
       let cover = cover_for t a ~rc:(Cover_term.required_cover_radius cl) in
       sweep t (fun () ->
           Cover_term.eval_unary ~jobs ~cache_bytes:(cache_bytes t)
-            ~stats_sink:(absorb t) t.cfg.preds a cover cl)
+            ~metrics:t.m.registry t.cfg.preds a cover cl)
   | Splitter { max_rounds; small } ->
       sweep t (fun () ->
           Splitter_backend.eval_unary
@@ -368,7 +298,7 @@ let eval_cl_unary t a cl =
   | Hanf ->
       sweep t (fun () ->
           Hanf_backend.eval_unary ~jobs ~cache_bytes:(cache_bytes t)
-            ?classes_for:(hanf_classes_for t a) ~stats_sink:(absorb t)
+            ?classes_for:(hanf_classes_for t a) ~metrics:t.m.registry
             t.cfg.preds a cl)
 
 (* ---------------- stratification (Theorem 6.10) ---------------- *)
@@ -874,20 +804,3 @@ let run_sentence t comp =
       let v = go comp.root in
       maybe_export t;
       v)
-
-(* fold another engine's counters into this one — how a session merges the
-   per-domain worker engines of a parallel batch after the join *)
-let add_stats t (s : stats) =
-  let open Foc_obs.Metrics in
-  Counter.add t.m.materialised s.materialised;
-  Counter.add t.m.clterms_built s.clterms_built;
-  Counter.add t.m.basic_terms s.basic_terms;
-  Counter.add t.m.fallbacks s.fallbacks;
-  Counter.add t.m.covers_built s.covers_built;
-  Counter.add t.m.removals s.removals;
-  Counter.add t.m.balls_computed s.balls_computed;
-  Counter.add t.m.ball_cache_hits s.ball_cache_hits;
-  Counter.add t.m.ball_cache_evictions s.ball_cache_evictions;
-  Gauge.set_max t.m.ball_cache_peak_entries s.ball_cache_peak_entries;
-  Gauge.set_max t.m.ball_cache_peak_bytes s.ball_cache_peak_bytes;
-  Counter.add t.m.bfs_visited s.bfs_visited

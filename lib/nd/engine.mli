@@ -20,7 +20,7 @@
 
     Inputs outside the supported fragment (see DESIGN.md §2.2) fall back to
     the {!Foc_eval.Relalg} baseline; every fallback is counted in
-    {!stats}, so experiments can verify that the benchmark workloads are
+    {!metrics} ([engine.fallbacks]), so experiments can verify that the benchmark workloads are
     really exercised by the localized code path.
 
     Sentences with a quantifier prefix are decided through counting:
@@ -82,42 +82,12 @@ val default_config : config
     [jobs = Foc_par.default_jobs ()], [ball_cache_mb = 64], no trace
     file. *)
 
-(** A point-in-time snapshot of the engine's counters. Since the
-    observability layer this is a {e view}: the counters live in the
-    engine's {!Foc_obs.Metrics} registry (see {!metrics}) and [stats]
-    builds a fresh record on each call — mutating the returned record has
-    no effect on the engine. *)
-type stats = {
-  mutable materialised : int;  (** fresh relations created (Theorem 6.10) *)
-  mutable clterms_built : int;
-  mutable basic_terms : int;
-  mutable fallbacks : int;  (** kernels evaluated by the baseline *)
-  mutable covers_built : int;
-  mutable removals : int;  (** removal-lemma recursion steps *)
-  mutable balls_computed : int;
-      (** ball BFS computations (cache misses), summed over all contexts *)
-  mutable ball_cache_hits : int;
-  mutable ball_cache_evictions : int;
-  mutable ball_cache_peak_entries : int;
-      (** max balls resident in any one evaluation's caches *)
-  mutable ball_cache_peak_bytes : int;
-      (** max approximate bytes resident in any one evaluation's caches *)
-  mutable bfs_visited : int;  (** total vertices visited by ball BFS runs *)
-}
-
 exception Outside_fragment of string
 
 type t
 
 val create : ?config:config -> unit -> t
-val stats : t -> stats
 val config : t -> config
-
-val add_stats : t -> stats -> unit
-(** Fold another engine's counter snapshot into this engine's registry
-    (counters add, peak gauges combine as max) — used by
-    {!Foc_serve.Session} to merge per-domain worker engines after a
-    parallel batch joins. *)
 
 (** {1 Artifact injection}
 
@@ -138,8 +108,8 @@ type artifacts = {
   art_ctx :
     (Foc_data.Structure.t -> r:int -> Foc_local.Pattern_count.ctx) option;
       (** a context for Direct sweeps over the given structure at the given
-          radius; may be long-lived — the engine absorbs per-evaluation
-          statistic deltas *)
+          radius; may be long-lived. Build it with {!make_pattern_ctx} so
+          its ball counters charge the engine's registry *)
   art_hanf :
     (Foc_data.Structure.t -> tr:int -> (string * int list) list) option;
       (** must return [Foc_bd.Hanf.classes a ~r:tr] *)
@@ -160,16 +130,31 @@ val make_cover : t -> Foc_data.Structure.t -> rc:int -> Foc_graph.Cover.t
 
 val make_pattern_ctx :
   t -> Foc_data.Structure.t -> r:int -> Foc_local.Pattern_count.ctx
-(** Fresh Direct-sweep context with this engine's ball-cache budget. *)
+(** Fresh Direct-sweep context with this engine's ball-cache budget,
+    charging its ball counters to this engine's {!metrics}. *)
 
 val metrics : t -> Foc_obs.Metrics.t
-(** The engine's metrics registry. Counter glossary:
-    [engine.materialised], [engine.clterms_built], [engine.basic_terms],
-    [engine.fallbacks], [engine.covers_built], [engine.removals],
-    [ball.computed], [ball.cache_hits], [ball.cache_evictions],
-    [bfs.visited]; gauges [ball.cache_peak_entries],
-    [ball.cache_peak_bytes]; histogram [sweep.ns] (per-sweep wall time in
-    nanoseconds, fed only when {!Foc_obs.timing_enabled}). *)
+(** The engine's metrics registry, the one place its counts live (read
+    one with {!Foc_obs.Metrics.value}). Glossary:
+    - [engine.materialised]: fresh relations created by stratification
+      (Theorem 6.10);
+    - [engine.clterms_built], [engine.basic_terms]: cl-terms evaluated and
+      the basic terms in them;
+    - [engine.fallbacks]: kernels evaluated by the baseline;
+    - [engine.covers_built]: neighbourhood covers actually constructed;
+    - [engine.removals]: removal-lemma recursion steps;
+    - [ball.computed], [ball.cache_hits], [ball.cache_evictions],
+      [bfs.visited], and the peak gauges [ball.cache_peak_entries],
+      [ball.cache_peak_bytes]: ball-cache work of every
+      {!Foc_local.Pattern_count} context the engine's sweeps ran on
+      (see {!Foc_local.Pattern_count.make_ctx});
+    - histogram [sweep.ns]: per-sweep wall time in nanoseconds, fed only
+      when {!Foc_obs.timing_enabled}.
+
+    Parallel sweeps charge per-domain registries that are merged in at
+    the join, so the counts are the same for every [jobs] setting except
+    the ball counters, which depend on how the anchors were split across
+    per-domain caches. *)
 
 val stats_line : t -> string
 (** All metrics as one logfmt line ({!Foc_obs.Metrics.line}) — the shared

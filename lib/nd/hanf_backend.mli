@@ -15,9 +15,9 @@
     evaluation plan). Results are bit-identical to [jobs = 1].
 
     [cache_bytes] bounds each context's ball cache
-    ({!Foc_local.Pattern_count.make_ctx}); [stats_sink] receives the summed
-    ball-cache snapshot of each basic leaf's contexts, delivered on the
-    calling domain after the parallel sweeps join.
+    ({!Foc_local.Pattern_count.make_ctx}); the contexts' ball counters end
+    up in [metrics] (per-domain registries are merged in on the calling
+    domain after the parallel sweeps join).
 
     [classes_for ~r] lets a caller supply the r-ball class partition
     instead of recomputing it per leaf — the session layer caches
@@ -32,7 +32,7 @@ val eval_ground :
   ?jobs:int ->
   ?cache_bytes:int ->
   ?classes_for:(r:int -> (string * int list) list) ->
-  ?stats_sink:(Foc_local.Pattern_count.snapshot -> unit) ->
+  metrics:Foc_obs.Metrics.t ->
   Pred.collection ->
   Foc_data.Structure.t ->
   Foc_local.Clterm.t ->
@@ -42,7 +42,7 @@ val eval_unary :
   ?jobs:int ->
   ?cache_bytes:int ->
   ?classes_for:(r:int -> (string * int list) list) ->
-  ?stats_sink:(Foc_local.Pattern_count.snapshot -> unit) ->
+  metrics:Foc_obs.Metrics.t ->
   Pred.collection ->
   Foc_data.Structure.t ->
   Foc_local.Clterm.t ->

@@ -208,6 +208,31 @@ module Metrics = struct
         Hashtbl.replace t.tbl name (MHistogram h);
         h
 
+  let value t name =
+    match Hashtbl.find_opt t.tbl name with
+    | Some (MCounter c) -> Counter.value c
+    | Some (MGauge g) -> Gauge.value g
+    | Some (MHistogram h) -> Histogram.count h
+    | None -> 0
+
+  (* The one path a count takes from one registry to another (per-domain
+     workers into their owner at a parallel join): counters and histogram
+     buckets add, gauges take the max — every merged gauge is a peak. *)
+  let merge ~into src =
+    Hashtbl.iter
+      (fun name m ->
+        match m with
+        | MCounter c -> Counter.add (counter into name) (Counter.value c)
+        | MGauge g -> Gauge.set_max (gauge into name) (Gauge.value g)
+        | MHistogram h ->
+            let d = histogram into name in
+            Array.iteri
+              (fun i k -> d.Histogram.buckets.(i) <- d.buckets.(i) + k)
+              h.Histogram.buckets;
+            d.count <- d.count + h.count;
+            d.sum <- d.sum + h.sum)
+      src.tbl
+
   let sorted_names t =
     List.sort String.compare
       (Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [])

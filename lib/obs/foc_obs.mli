@@ -88,8 +88,9 @@ module Metrics : sig
 
   type t
   (** A registry: a named collection of metrics. Not domain-safe; each
-      engine owns one and mutates it from the calling domain only (worker
-      counters travel via snapshots, as before). *)
+      engine owns one and mutates it from the calling domain only. Work on
+      other domains charges a private registry per domain, which the owner
+      folds in with {!merge} after the parallel join. *)
 
   val create : unit -> t
 
@@ -98,6 +99,17 @@ module Metrics : sig
   val histogram : t -> string -> Histogram.t
   (** Get-or-create by name. Raise [Invalid_argument] if the name is
       already registered with a different metric kind. *)
+
+  val value : t -> string -> int
+  (** The value of the counter or gauge registered under the name (a
+      histogram reads as its observation count); [0] when the name is
+      absent. Registers nothing. *)
+
+  val merge : into:t -> t -> unit
+  (** Fold every metric of the second registry into [into], registering
+      missing names: counters and histogram buckets add, gauges take the
+      maximum (every gauge that is merged is a peak). Raise
+      [Invalid_argument] on a name registered with different kinds. *)
 
   val line : t -> string
   (** All metrics as one logfmt line, keys sorted; histograms contribute

@@ -291,9 +291,6 @@ let enumerate t ?limit ?after q =
 
 type worker = {
   weng : Engine.t;
-  w_cover_hits : int ref;
-  w_ctx_hits : int ref;
-  w_hanf_hits : int ref;
   mutable w_ctxs : (Structure.t * (int, Pattern_count.ctx) Hashtbl.t) list;
 }
 
@@ -301,20 +298,14 @@ type worker = {
    are immutable once built, so workers share them directly; ball
    contexts are mutable (cache table, BFS scratch) and stay per-worker.
    Workers never insert into the session cache and never touch the
-   session's counters — hits are tallied in plain per-worker refs and
-   merged on the calling domain after the join. *)
+   session's registry — each counts (hits included) into its own engine's
+   registry, which [run_batch] merges on the calling domain after the
+   join. *)
 let make_worker t gids sids covers hanfs () =
   let cfg = { (Engine.config t.eng) with Engine.trace_file = None } in
   let weng = Engine.create ~config:cfg () in
-  let w =
-    {
-      weng;
-      w_cover_hits = ref 0;
-      w_ctx_hits = ref 0;
-      w_hanf_hits = ref 0;
-      w_ctxs = [];
-    }
-  in
+  let hit name = Counter.inc (Metrics.counter (Engine.metrics weng) name) in
+  let w = { weng; w_ctxs = [] } in
   Engine.set_artifacts weng
     (Some
        {
@@ -327,7 +318,7 @@ let make_worker t gids sids covers hanfs () =
              in
              match frozen with
              | Some c ->
-                 incr w.w_cover_hits;
+                 hit "session.cover_hits";
                  c
              | None -> Engine.make_cover weng a ~rc);
          art_ctx =
@@ -343,7 +334,7 @@ let make_worker t gids sids covers hanfs () =
                in
                match Hashtbl.find_opt tbl r with
                | Some ctx ->
-                   incr w.w_ctx_hits;
+                   hit "session.ctx_hits";
                    ctx
                | None ->
                    let ctx = Engine.make_pattern_ctx weng a ~r in
@@ -359,7 +350,7 @@ let make_worker t gids sids covers hanfs () =
                in
                match frozen with
                | Some cls ->
-                   incr w.w_hanf_hits;
+                   hit "session.hanf_hits";
                    cls
                | None -> Foc_bd.Hanf.classes ~jobs:1 a ~r:tr);
          (* statistics are mutable (count tables, summaries rebuilt on
@@ -405,11 +396,7 @@ let run_batch ?jobs t phis =
             (fun w i -> Engine.run_sentence w.weng arr.(i).comp)
         in
         List.iter
-          (fun w ->
-            Engine.add_stats t.eng (Engine.stats w.weng);
-            Counter.add t.cover_hits !(w.w_cover_hits);
-            Counter.add t.ctx_hits !(w.w_ctx_hits);
-            Counter.add t.hanf_hits !(w.w_hanf_hits))
+          (fun w -> Metrics.merge ~into:(metrics t) (Engine.metrics w.weng))
           workers;
         Array.to_list results
       end)
@@ -476,9 +463,12 @@ let update t name tup ~insert:ins =
       in
       List.iter kill dead_compiled;
       (* 2. affected-centre predicate for ball contexts: a cached ball is
-         a BFS sphere of radius 2r+1, so it changes exactly when a touched
-         element lies within 2r+1 of its centre in the old or new graph
-         (the invalidation radius of Incremental.apply) *)
+         a BFS sphere of radius 2r+1 around its centre and depends only on
+         the Gaifman graph. An edge update changes it exactly when a
+         touched element lies within 2r+1 of the centre in the old or in
+         the new graph — both, because an insert shrinks distances and a
+         delete grows them. Every other ball is the same set in both
+         graphs and is kept. *)
       let affected =
         if not graph_changed then fun ~r:_ _ -> false
         else begin

@@ -21,8 +21,9 @@
     budget, batch size and jobs setting.
 
     {!insert}/{!delete} keep the session sound under unit updates by
-    evicting exactly the radius-affected artifacts (the invalidation logic
-    of {!Foc_nd.Incremental}): a unary update preserves the Gaifman graph
+    evicting exactly the radius-affected artifacts — this is the
+    repository's answer to the paper's open question on database updates
+    (Section 9, question 2): a unary update preserves the Gaifman graph
     (and thus every cover) and rebinds ball contexts wholesale, while an
     edge update drops covers and Hanf partitions and rebinds ball contexts
     dropping only centres within the [2r+1] threshold of the touched

@@ -127,12 +127,12 @@ let test_eviction_happens () =
   let a = coloured 7 (Foc.Gen.random_bounded_degree rng 200 3) in
   let eng = engine Foc.Engine.Direct 1 0 in
   ignore (Foc.Engine.eval_ground eng a (Foc.parse_term "#(x,y). dist(x,y) <= 3"));
-  let st = Foc.Engine.stats eng in
-  Alcotest.(check bool) "balls computed" true (st.balls_computed > 0);
+  let st = Foc.Obs.Metrics.value (Foc.Engine.metrics eng) in
+  Alcotest.(check bool) "balls computed" true (st "ball.computed" > 0);
   Alcotest.(check bool) "evictions observed" true
-    (st.ball_cache_evictions > 0);
+    (st "ball.cache_evictions" > 0);
   Alcotest.(check bool) "residency stays tiny" true
-    (st.ball_cache_peak_entries <= 2)
+    (st "ball.cache_peak_entries" <= 2)
 
 (* ---------------- isomorphism pre-checks ---------------- *)
 

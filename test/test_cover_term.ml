@@ -7,6 +7,10 @@ open Foc_local
 module Structure = Foc_data.Structure
 
 let preds = Pred.standard
+
+(* a registry for ball counters no test reads *)
+let scratch () = Foc_obs.Metrics.create ()
+
 let parse s = Parser.formula preds s
 
 let coloured seed g =
@@ -29,7 +33,9 @@ let check_agreement name a cl =
   let rc = Cover_term.required_cover_radius cl in
   let cover = Foc_graph.Cover.make (Structure.gaifman a) ~r:rc in
   let direct =
-    let ctx = Pattern_count.make_ctx preds a ~r:(max 1 rc) in
+    let ctx =
+      Pattern_count.make_ctx ~metrics:(scratch ()) preds a ~r:(max 1 rc)
+    in
     ignore ctx;
     (* re-derive the basic radius through the clterm itself *)
     let rec basic_r = function
@@ -37,10 +43,12 @@ let check_agreement name a cl =
       | Clterm.Ground b | Clterm.Unary b -> b.Clterm.radius
       | Clterm.Add (s, t) | Clterm.Mul (s, t) -> max (basic_r s) (basic_r t)
     in
-    let ctx = Pattern_count.make_ctx preds a ~r:(basic_r cl) in
+    let ctx =
+      Pattern_count.make_ctx ~metrics:(scratch ()) preds a ~r:(basic_r cl)
+    in
     Clterm.eval_unary ctx cl
   in
-  let covered = Cover_term.eval_unary preds a cover cl in
+  let covered = Cover_term.eval_unary ~metrics:(scratch ()) preds a cover cl in
   Alcotest.(check (array int)) name direct covered
 
 let test_agreement_tree () =
@@ -74,7 +82,7 @@ let test_ground_agreement () =
       let cover = Foc_graph.Cover.make (Structure.gaifman a) ~r:rc in
       let expected = Foc_eval.Relalg.count preds a [ "u"; "v" ] body in
       Alcotest.(check int) "ground count" expected
-        (Cover_term.eval_ground preds a cover cl)
+        (Cover_term.eval_ground ~metrics:(scratch ()) preds a cover cl)
 
 let test_radius_requirement () =
   let a = coloured 10 (Foc_graph.Gen.path 30) in
@@ -89,7 +97,9 @@ let test_radius_requirement () =
        (Printf.sprintf
           "Cover_term: cover parameter %d smaller than required %d"
           (needed - 1) needed))
-    (fun () -> ignore (Cover_term.eval_unary preds a small_cover cl))
+    (fun () ->
+      ignore
+        (Cover_term.eval_unary ~metrics:(scratch ()) preds a small_cover cl))
 
 let test_sentence_leaf () =
   let a = coloured 11 (Foc_graph.Gen.path 10) in
@@ -101,7 +111,8 @@ let test_sentence_leaf () =
   in
   let cl = Clterm.Mul (Clterm.Const 5, Clterm.Ground sentence_basic) in
   let cover = Foc_graph.Cover.make (Structure.gaifman a) ~r:0 in
-  Alcotest.(check int) "5 * [true]" 5 (Cover_term.eval_ground preds a cover cl)
+  Alcotest.(check int) "5 * [true]" 5
+    (Cover_term.eval_ground ~metrics:(scratch ()) preds a cover cl)
 
 let prop_cover_vs_direct =
   QCheck.Test.make ~name:"cover sweep = direct sweep on random graphs"
@@ -111,11 +122,11 @@ let prop_cover_vs_direct =
       let rng = Random.State.make [| n; seed |] in
       let a = coloured seed (Foc_graph.Gen.random_bounded_degree rng n 3) in
       let cl = decompose_unary [ "x"; "y" ] "E(x,y) & B(y)" in
-      let ctx = Pattern_count.make_ctx preds a ~r:1 in
+      let ctx = Pattern_count.make_ctx ~metrics:(scratch ()) preds a ~r:1 in
       let direct = Clterm.eval_unary ctx cl in
       let rc = Cover_term.required_cover_radius cl in
       let cover = Foc_graph.Cover.make (Structure.gaifman a) ~r:rc in
-      direct = Cover_term.eval_unary preds a cover cl)
+      direct = Cover_term.eval_unary ~metrics:(scratch ()) preds a cover cl)
 
 let () =
   Alcotest.run "foc_local cover_term"

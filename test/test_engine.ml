@@ -127,7 +127,7 @@ let test_nested_counting () =
       Alcotest.(check bool)
         (name ^ " materialised inner conditions")
         true
-        ((Engine.stats eng).materialised > 0))
+        (Foc_obs.Metrics.value (Engine.metrics eng) "engine.materialised" > 0))
     (engines ())
 
 let test_holds_unary () =
@@ -212,8 +212,9 @@ let test_no_fallback_on_supported () =
   let a = colored rng 40 in
   let eng = Engine.create () in
   ignore (Engine.eval_unary eng a "x" (parse_t "#(y). (E(x,y) & B(y))"));
-  Alcotest.(check int) "no fallbacks" 0 (Engine.stats eng).fallbacks;
-  Alcotest.(check bool) "built a cl-term" true ((Engine.stats eng).clterms_built > 0)
+  let value = Foc_obs.Metrics.value (Engine.metrics eng) in
+  Alcotest.(check int) "no fallbacks" 0 (value "engine.fallbacks");
+  Alcotest.(check bool) "built a cl-term" true (value "engine.clterms_built" > 0)
 
 let test_strict_mode () =
   let rng = Random.State.make [| 101 |] in

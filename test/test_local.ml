@@ -7,6 +7,10 @@ open Foc_local
 open Ast
 
 let preds = Pred.standard
+
+(* a registry for ball counters no test reads *)
+let scratch () = Foc_obs.Metrics.create ()
+
 let parse s = Parser.formula preds s
 let parse_t s = Parser.term preds s
 
@@ -185,7 +189,7 @@ let test_pattern_count_edges () =
   let rng = Random.State.make [| 37 |] in
   let g = Foc_graph.Gen.cycle 8 in
   let a = structure_of_graph_coloured rng g in
-  let ctx = Pattern_count.make_ctx preds a ~r:0 in
+  let ctx = Pattern_count.make_ctx ~metrics:(scratch ()) preds a ~r:0 in
   (* ordered pairs at distance <= 1 satisfying E: exactly the directed edges *)
   let edge_pattern = Foc_graph.Pattern.make 2 [ (0, 1) ] in
   let count =
@@ -210,7 +214,7 @@ let test_pattern_count_edges () =
 let test_pattern_count_sentence () =
   let rng = Random.State.make [| 41 |] in
   let a = structure_of_graph_coloured rng (Foc_graph.Gen.path 5) in
-  let ctx = Pattern_count.make_ctx preds a ~r:0 in
+  let ctx = Pattern_count.make_ctx ~metrics:(scratch ()) preds a ~r:0 in
   let empty = Foc_graph.Pattern.make 0 [] in
   Alcotest.(check int) "true sentence" 1
     (Pattern_count.ground ctx ~pattern:empty ~vars:[] ~body:Ast.True);
@@ -229,7 +233,7 @@ let check_ground_decomposition ?(max_width = 3) a name vars body =
   match Decompose.ground_count ~r ~vars body with
   | None -> Alcotest.fail (name ^ ": decomposition failed")
   | Some cl ->
-      let ctx = Pattern_count.make_ctx preds a ~r in
+      let ctx = Pattern_count.make_ctx ~metrics:(scratch ()) preds a ~r in
       let got = Clterm.eval_ground ctx cl in
       let expected = Foc_eval.Relalg.count preds a vars body in
       Alcotest.(check int) name expected got
@@ -274,7 +278,7 @@ let test_decompose_unary_fixed () =
     match Decompose.unary_count ~r ~vars body with
     | None -> Alcotest.fail (name ^ ": decomposition failed")
     | Some cl ->
-        let ctx = Pattern_count.make_ctx preds a ~r in
+        let ctx = Pattern_count.make_ctx ~metrics:(scratch ()) preds a ~r in
         let got = Clterm.eval_unary ctx cl in
         for v = 0 to Foc_data.Structure.order a - 1 do
           let expected =
@@ -320,7 +324,9 @@ let prop_decompose_random =
           match Decompose.ground_count ~r ~vars body with
           | None -> QCheck.assume_fail ()
           | Some cl ->
-              let ctx = Pattern_count.make_ctx preds a ~r in
+              let ctx =
+                Pattern_count.make_ctx ~metrics:(scratch ()) preds a ~r
+              in
               Clterm.eval_ground ctx cl
               = Foc_eval.Relalg.count preds a vars body)
         bodies)

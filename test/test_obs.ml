@@ -133,6 +133,36 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+let test_registry_merge () =
+  let open Foc.Obs.Metrics in
+  let into = create () and src = create () in
+  Counter.add (counter into "x.count") 2;
+  Counter.add (counter src "x.count") 3;
+  Gauge.set_max (gauge into "x.peak") 7;
+  Gauge.set_max (gauge src "x.peak") 5;
+  Histogram.observe (histogram into "x.ns") 1;
+  Histogram.observe (histogram src "x.ns") 100;
+  Counter.inc (counter src "y.only_in_src");
+  merge ~into src;
+  Alcotest.(check int) "counters add" 5 (value into "x.count");
+  Alcotest.(check int) "gauges take the max" 7 (value into "x.peak");
+  Alcotest.(check int) "missing names are registered" 1
+    (value into "y.only_in_src");
+  let h = histogram into "x.ns" in
+  Alcotest.(check int) "histogram counts add" 2 (Histogram.count h);
+  Alcotest.(check int) "histogram sums add" 101 (Histogram.sum h);
+  Alcotest.(check (list (pair int int)))
+    "histogram buckets add" [ (1, 1); (127, 1) ] (Histogram.nonzero_buckets h);
+  Alcotest.(check int) "source untouched" 3 (value src "x.count");
+  Alcotest.(check int) "absent name reads 0" 0 (value into "nope");
+  Alcotest.(check bool) "value registers nothing" false
+    (contains (line into) "nope");
+  Alcotest.check_raises "kind mismatch"
+    (Invalid_argument "Metrics.gauge: name in use: x.count") (fun () ->
+      let bad = create () in
+      ignore (gauge bad "x.count");
+      merge ~into bad)
+
 let test_prometheus () =
   let open Foc.Obs.Metrics in
   let r1 = create () and r2 = create () in
@@ -386,47 +416,16 @@ let test_engine_stats_view () =
   ignore
     (Foc.Engine.eval_ground eng a
        (Foc.parse_term "#(x,y). (R(x) & E(x,y))"));
-  let st = Foc.Engine.stats eng in
-  Alcotest.(check bool) "basic terms counted" true (st.basic_terms > 0);
-  Alcotest.(check bool) "covers counted" true (st.covers_built > 0);
-  (* the registry view and the record view agree *)
+  let m = Foc.Engine.metrics eng in
+  let v = Foc.Obs.Metrics.value m in
+  Alcotest.(check bool) "basic terms counted" true (v "engine.basic_terms" > 0);
+  Alcotest.(check bool) "covers counted" true (v "engine.covers_built" > 0);
   Alcotest.(check int)
-    "registry backs the record" st.basic_terms
-    Foc.Obs.Metrics.(
-      Counter.value (counter (Foc.Engine.metrics eng) "engine.basic_terms"));
+    "value reads the registry" (v "engine.basic_terms")
+    Foc.Obs.Metrics.(Counter.value (counter m "engine.basic_terms"));
   let line = Foc.Engine.stats_line eng in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "stats_line mentions covers" true
     (contains line "engine.covers_built=")
-
-let test_incremental_metrics () =
-  obs_off ();
-  let a =
-    coloured 7 (Foc.Gen.random_tree (Random.State.make [| 7 |]) 50)
-  in
-  let cl =
-    match
-      Foc.Decompose.unary_count ~r:1 ~vars:[ "x"; "y" ]
-        (Foc.parse_formula "E(x,y) & B(y)")
-    with
-    | Some cl -> cl
-    | None -> Alcotest.fail "decomposition failed"
-  in
-  let inc = Foc.Incremental.create Foc.predicates a cl in
-  let affected = Foc.Incremental.insert inc "E" [| 0; 49 |] in
-  Alcotest.(check bool) "some anchors re-evaluated" true (affected > 0);
-  let m = Foc.Incremental.metrics inc in
-  let h = Foc.Obs.Metrics.histogram m "incr.update.affected" in
-  Alcotest.(check int) "one update observed" 1
-    (Foc.Obs.Metrics.Histogram.count h);
-  Alcotest.(check int) "histogram sums the affected counts" affected
-    (Foc.Obs.Metrics.Histogram.sum h);
-  Alcotest.(check bool) "stats_line renders" true
-    (String.length (Foc.Incremental.stats_line inc) > 0)
 
 (* ---------------- obs on/off invariance ---------------- *)
 
@@ -492,6 +491,7 @@ let () =
           Alcotest.test_case "histogram quantiles" `Quick
             test_histogram_quantiles;
           Alcotest.test_case "metrics registry" `Quick test_registry;
+          Alcotest.test_case "metrics merge" `Quick test_registry_merge;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus;
           Alcotest.test_case "json parser" `Quick test_json_parser;
         ] );
@@ -509,8 +509,6 @@ let () =
         [
           Alcotest.test_case "stats is a registry view" `Quick
             test_engine_stats_view;
-          Alcotest.test_case "incremental counters" `Quick
-            test_incremental_metrics;
         ] );
       ( "obs on = obs off",
         [

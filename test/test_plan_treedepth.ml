@@ -96,7 +96,8 @@ let test_plan_matches_engine () =
       Alcotest.(check bool)
         (src ^ ": plan fallback prediction matches engine")
         plan.strictly_localized
-        ((Foc_nd.Engine.stats eng).fallbacks = 0))
+        (Foc_obs.Metrics.value (Foc_nd.Engine.metrics eng) "engine.fallbacks"
+        = 0))
     terms
 
 (* ---------------- treedepth ---------------- *)

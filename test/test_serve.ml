@@ -1,5 +1,6 @@
 (* Tests for the session layer (lib/serve): cross-query artifact caching,
-   batched evaluation, budget eviction and update invalidation — plus the
+   batched evaluation, budget eviction and update invalidation (the
+   database updates of the paper's Section 9, question 2) — plus the
    canonical-AST machinery (Ast.canonical / Ast.hash_formula / Ast.Key)
    compiled sentences are keyed by, and the engine's per-call cover memo.
 
@@ -22,9 +23,10 @@ let config backend jobs =
 let fresh_check backend a phi =
   Foc.Engine.check (Foc.Engine.create ~config:(config backend 1) ()) a phi
 
-let counter_value s name =
-  Foc.Obs.Metrics.Counter.value
-    (Foc.Obs.Metrics.counter (Foc.Session.metrics s) name)
+let counter_value s name = Foc.Obs.Metrics.value (Foc.Session.metrics s) name
+
+(* its value depends on the ground factor [exists y. R(y)] *)
+let width0_src = "(exists y. R(y)) & exists x. #(y). E(x,y) >= 2"
 
 (* ---------------- generators ---------------- *)
 
@@ -176,9 +178,11 @@ let prop_invalidation backend name =
       let a = structure n seed in
       let phi1 = parse (Printf.sprintf "exists x. #(y). %s >= 2" body) in
       let phi2 = parse (Printf.sprintf "exists x. prime(#(y). %s)" body) in
+      (* a sentence factor that flips as R empties and refills *)
+      let phi3 = parse width0_src in
       let s = Foc.Session.create ~config:(config backend 1) a in
       (* warm every cache before the first update *)
-      ignore (Foc.Session.run_batch ~jobs:1 s [ phi1; phi2 ]);
+      ignore (Foc.Session.run_batch ~jobs:1 s [ phi1; phi2; phi3 ]);
       List.for_all
         (fun (ins, unary, u, v) ->
           let name = if unary then "R" else "E" in
@@ -189,8 +193,104 @@ let prop_invalidation backend name =
           else Foc.Session.delete s name tup;
           let b = Foc.Session.structure s in
           Foc.Session.check s phi1 = fresh_check backend b phi1
-          && Foc.Session.check s phi2 = fresh_check backend b phi2)
+          && Foc.Session.check s phi2 = fresh_check backend b phi2
+          && Foc.Session.check s phi3 = fresh_check backend b phi3)
         ops)
+
+(* Drain R from a path one element at a time, then re-insert one: the
+   ground factor [exists y. R(y)] turns false on the last delete and true
+   again on the insert, and after every step each sentence must answer as
+   a fresh engine does on the updated structure. *)
+let test_drain_width0 () =
+  let a = coloured 59 (Foc.Gen.path 12) in
+  let phis =
+    List.map parse
+      [
+        width0_src;
+        "#(x,y). (E(x,y) & R(y)) >= 2";
+        "exists x. prime(#(y). (E(x,y) | R(y)))";
+      ]
+  in
+  List.iter
+    (fun backend ->
+      let s = Foc.Session.create ~config:(config backend 1) a in
+      let agree step =
+        let b = Foc.Session.structure s in
+        List.iter
+          (fun phi ->
+            Alcotest.(check bool) step (fresh_check backend b phi)
+              (Foc.Session.check s phi))
+          phis
+      in
+      agree "initial";
+      for u = 0 to 11 do
+        Foc.Session.delete s "R" [| u |];
+        agree (Printf.sprintf "after deleting R(%d)" u)
+      done;
+      Foc.Session.insert s "R" [| 3 |];
+      agree "after re-inserting R(3)")
+    [ Foc.Engine.Direct; Foc.Engine.Cover; Foc.Engine.Hanf ]
+
+(* An edge update at one end of a long path drops only the cached balls
+   whose centre lies within 2r+1 of the touched elements; the far end of
+   the path keeps its balls. *)
+let test_update_locality () =
+  let a = coloured 53 (Foc.Gen.path 200) in
+  let phi = parse "exists x. #(y). dist(x,y) <= 2 >= 5" in
+  let s = Foc.Session.create ~config:(config Foc.Engine.Direct 1) a in
+  ignore (Foc.Session.check s phi);
+  Alcotest.(check bool) "the warm-up sweep computed balls" true
+    (counter_value s "ball.computed" > 0);
+  Foc.Session.delete s "E" [| 0; 1 |];
+  let dropped = counter_value s "session.balls_dropped" in
+  Alcotest.(check bool)
+    (Printf.sprintf "few balls dropped (%d)" dropped)
+    true
+    (0 < dropped && dropped <= 16);
+  Alcotest.(check bool) "answer after the update"
+    (fresh_check Foc.Engine.Direct (Foc.Session.structure s) phi)
+    (Foc.Session.check s phi)
+
+(* ---------------- counters across the batch join ---------------- *)
+
+(* The same batch at jobs 1 and at jobs 2 does the same engine work, so
+   the sweep histogram and every engine.* counter must agree. Ball
+   counters are left out: each worker has its own ball cache, so they
+   legitimately differ. *)
+let test_batch_counters_jobs () =
+  let a = structure 400 17 in
+  let phis =
+    List.map parse
+      [
+        "exists x. #(y). (E(x,y) | E(y,x)) >= 3";
+        "forall x. #(y). E(y,x) <= 4";
+        "exists x. prime(#(y). (E(x,y) & B(y)))";
+        (* width 5: over the cap, so it takes the relational fallback *)
+        "#(v,w,x,y,z). (E(v,w) & E(w,x) & E(x,y) & E(y,z)) >= 1";
+      ]
+  in
+  let run jobs =
+    let s = Foc.Session.create ~config:(config Foc.Engine.Direct 1) a in
+    let answers = Foc.Session.run_batch ~jobs s phis in
+    let fields =
+      List.filter
+        (fun f ->
+          String.starts_with ~prefix:"engine." f
+          || String.starts_with ~prefix:"sweep.ns.count=" f)
+        (String.split_on_char ' ' (Foc.Session.stats_line s))
+    in
+    (answers, fields, counter_value s "sweep.ns")
+  in
+  Fun.protect
+    ~finally:(fun () -> Foc.Obs.set_timing false)
+    (fun () ->
+      Foc.Obs.set_timing true;
+      let answers1, fields1, sweeps1 = run 1 in
+      let answers2, fields2, sweeps2 = run 2 in
+      Alcotest.(check (list bool)) "answers" answers1 answers2;
+      Alcotest.(check bool) "sweeps were timed" true (sweeps1 > 0);
+      Alcotest.(check int) "sweep.ns observations" sweeps1 sweeps2;
+      Alcotest.(check (list string)) "engine counters" fields1 fields2)
 
 (* ---------------- budget cache eviction policy ---------------- *)
 
@@ -288,9 +388,8 @@ let test_cover_dedup () =
     Foc.parse_term "(#(x,y). (E(x,y) & B(y))) + (#(x,y). (E(x,y) & G(y)))"
   in
   ignore (Foc.Engine.eval_ground eng a t);
-  let st = Foc.Engine.stats eng in
   Alcotest.(check int) "cover built exactly once" 1
-    st.Foc.Engine.covers_built
+    (Foc.Obs.Metrics.value (Foc.Engine.metrics eng) "engine.covers_built")
 
 (* ---------------- worker spans reach the merged trace ------------- *)
 
@@ -448,6 +547,15 @@ let () =
             (prop_invalidation Foc.Engine.Cover "cover: updates agree");
           QCheck_alcotest.to_alcotest
             (prop_invalidation Foc.Engine.Hanf "hanf: updates agree");
+          Alcotest.test_case "width-0 drain and refill" `Quick
+            test_drain_width0;
+          Alcotest.test_case "edge update drops few balls" `Quick
+            test_update_locality;
+        ] );
+      ( "batch join",
+        [
+          Alcotest.test_case "jobs 1 = jobs 2 counters" `Quick
+            test_batch_counters_jobs;
         ] );
       ( "canonical AST",
         [

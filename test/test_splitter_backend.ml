@@ -6,6 +6,10 @@ open Foc_logic
 open Foc_nd
 
 let preds = Pred.standard
+
+(* a registry for ball counters no test reads *)
+let scratch () = Foc_obs.Metrics.create ()
+
 let parse s = Parser.formula preds s
 let parse_t s = Parser.term preds s
 
@@ -43,7 +47,8 @@ let check_agree name a cl ~max_rounds ~small =
       | Foc_local.Clterm.Add (s, t) | Foc_local.Clterm.Mul (s, t) ->
           max (radius s) (radius t)
     in
-    Foc_local.Pattern_count.make_ctx preds a ~r:(radius cl)
+    Foc_local.Pattern_count.make_ctx ~metrics:(scratch ())
+      preds a ~r:(radius cl)
   in
   let expected = Foc_local.Clterm.eval_unary ctx cl in
   Alcotest.(check (array int)) name expected got;
@@ -94,7 +99,7 @@ let test_engine_integration () =
         (Engine.eval_ground eng a t))
     terms;
   Alcotest.(check bool) "removal stats recorded" true
-    ((Engine.stats eng).removals >= 0)
+    (Foc_obs.Metrics.value (Engine.metrics eng) "engine.removals" >= 0)
 
 let prop_splitter_agrees =
   QCheck.Test.make ~name:"splitter backend = direct on random graphs"
@@ -109,7 +114,9 @@ let prop_splitter_agrees =
           ~stats_removals:(fun _ -> ())
           preds a ~max_rounds:2 ~small:6 cl
       in
-      let ctx = Foc_local.Pattern_count.make_ctx preds a ~r:1 in
+      let ctx =
+        Foc_local.Pattern_count.make_ctx ~metrics:(scratch ()) preds a ~r:1
+      in
       got = Foc_local.Clterm.eval_unary ctx cl)
 
 let () =
