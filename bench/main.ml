@@ -967,33 +967,43 @@ let e13 () =
   let n_obs = if !smoke then 300 else 2000 in
   let cls = Foc.Classes.bounded_degree 3 in
   let a = coloured_structure 13 (cls.generate ~seed:13 ~n:n_obs) in
-  let counters label =
-    [ ("complements", Foc.Eval_obs.complements ());
-      ("complements_avoided", Foc.Eval_obs.complements_avoided ());
-      ("antijoins", Foc.Eval_obs.antijoins ());
-      ("divisions", Foc.Eval_obs.divisions ());
-      ("joins", Foc.Eval_obs.joins ());
-      ("rows_built", Foc.Eval_obs.rows_built ());
-      ("peak_table_bytes", Foc.Eval_obs.peak_table_bytes ()) ]
-    |> List.map (fun (k, v) -> (label ^ "_" ^ k, I v))
+  (* each run charges a fresh registry *)
+  let charged run =
+    let m = Foc.Obs.Metrics.create () in
+    Foc.Eval_obs.charging (Foc.Eval_obs.create m) run;
+    Foc.Obs.Metrics.value m
   in
-  Foc.Eval_obs.reset ();
-  ignore (Foc.Relalg.term_value preds a [] q_a);
-  ignore (Foc.Relalg.holds preds a [] q_dom);
-  let planned_counters = counters "planned" in
-  let planned_complements = Foc.Eval_obs.complements () in
-  let planned_peak = Foc.Eval_obs.peak_table_bytes () in
+  let counters label v =
+    [ ("complements", v "complement.full_materialisations");
+      ("complements_avoided", v "planner.complements_avoided");
+      ("antijoins", v "join.antijoins");
+      ("divisions", v "planner.divisions");
+      ("joins", v "join.count");
+      ("rows_built", v "table.rows_built");
+      ("peak_table_bytes", v "table.peak_bytes") ]
+    |> List.map (fun (k, n) -> (label ^ "_" ^ k, I n))
+  in
+  let planned =
+    charged (fun () ->
+        ignore (Foc.Relalg.term_value preds a [] q_a);
+        ignore (Foc.Relalg.holds preds a [] q_dom))
+  in
+  let planned_counters = counters "planned" planned in
+  let planned_complements = planned "complement.full_materialisations" in
+  let planned_peak = planned "table.peak_bytes" in
   note_agree "planned run took a full n^k complement"
     (planned_complements = 0);
   note_agree "planned run compiled no anti-join"
-    (Foc.Eval_obs.antijoins () > 0);
-  note_agree "planned forall took no division" (Foc.Eval_obs.divisions () > 0);
-  Foc.Eval_obs.reset ();
-  ignore (Foc.Relalg.term_value ~plan:false preds a [] q_a);
-  ignore (Foc.Relalg.holds ~plan:false preds a [] q_dom);
-  let seed_counters = counters "seed" in
-  let seed_complements = Foc.Eval_obs.complements () in
-  let seed_peak = Foc.Eval_obs.peak_table_bytes () in
+    (planned "join.antijoins" > 0);
+  note_agree "planned forall took no division" (planned "planner.divisions" > 0);
+  let seed =
+    charged (fun () ->
+        ignore (Foc.Relalg.term_value ~plan:false preds a [] q_a);
+        ignore (Foc.Relalg.holds ~plan:false preds a [] q_dom))
+  in
+  let seed_counters = counters "seed" seed in
+  let seed_complements = seed "complement.full_materialisations" in
+  let seed_peak = seed "table.peak_bytes" in
   record "E13"
     ([ ("class", S cls.name); ("n", I n_obs); ("query", S "obs") ]
     @ planned_counters @ seed_counters);
@@ -1465,7 +1475,7 @@ let e16 () =
         Foc.Ast.Rel ("B", [| "y"; "z" |]) )
   in
   let fvars = [ "x"; "y"; "z" ] in
-  let stats_ctx buckets =
+  let stats_ctx ~metrics buckets =
     (* one-structure memo: collect once, reuse across the repeated runs *)
     let memo = ref [] in
     let stats_for a =
@@ -1476,23 +1486,30 @@ let e16 () =
           memo := (a, st) :: !memo;
           st
     in
-    Foc.Relalg.make_ctx ~stats_for ~buckets ()
+    Foc.Relalg.make_ctx ~stats_for ~buckets ~metrics ()
   in
   let n = if !smoke then 4_000 else if !quick then 10_000 else 40_000 in
   let a = skew_structure ~seed:1 n in
   (* -- stats-off (uniform model) vs stats-on (histograms): the plan flip *)
-  Foc.Eval_obs.reset ();
-  let ctx_off = Foc.Relalg.make_ctx ~buckets:0 () in
+  let orders ctx =
+    List.map
+      (fun (p : Foc.Eval_obs.plan_record) -> p.order)
+      (Foc.Eval_obs.plans (Foc.Relalg.obs ctx))
+  in
+  (* each measured ctx charges a fresh registry *)
+  let m_off = Foc.Obs.Metrics.create () in
+  let ctx_off = Foc.Relalg.make_ctx ~buckets:0 ~metrics:m_off () in
   let v_off, t_off = time (fun () -> Foc.Relalg.count ~ctx:ctx_off preds a fvars phi) in
-  let rows_off = Foc.Eval_obs.rows_built () in
-  let act_off = Foc.Eval_obs.actual_rows () in
-  let orders_off = Foc.Eval_obs.plan_orders () in
-  Foc.Eval_obs.reset ();
-  let ctx_on = stats_ctx 64 in
+  let rows_off = Foc.Obs.Metrics.value m_off "table.rows_built" in
+  let act_off = Foc.Obs.Metrics.value m_off "planner.actual_rows" in
+  let orders_off = orders ctx_off in
+  let m_on = Foc.Obs.Metrics.create () in
+  let ctx_on = stats_ctx ~metrics:m_on 64 in
   let v_on, t_on = time (fun () -> Foc.Relalg.count ~ctx:ctx_on preds a fvars phi) in
-  let rows_on = Foc.Eval_obs.rows_built () in
-  let orders_on = Foc.Eval_obs.plan_orders () in
-  let est_on = Foc.Eval_obs.est_rows () and act_on = Foc.Eval_obs.actual_rows () in
+  let rows_on = Foc.Obs.Metrics.value m_on "table.rows_built" in
+  let orders_on = orders ctx_on in
+  let est_on = Foc.Obs.Metrics.value m_on "planner.est_rows"
+  and act_on = Foc.Obs.Metrics.value m_on "planner.actual_rows" in
   let last l = List.nth l (List.length l - 1) in
   note_agree "stats-on disagrees with stats-off" (v_on = v_off);
   note_agree "no plan recorded" (orders_off <> [] && orders_on <> []);
@@ -1503,12 +1520,12 @@ let e16 () =
   note_agree "stats-on plan joined more rows than the uniform plan"
     (act_on * 10 < act_off);
   (* -- adaptive feedback: same uniform ctx, second run must re-plan -- *)
-  Foc.Eval_obs.reset ();
-  let ctx_ad = Foc.Relalg.make_ctx ~buckets:0 () in
+  let m_ad = Foc.Obs.Metrics.create () in
+  let ctx_ad = Foc.Relalg.make_ctx ~buckets:0 ~metrics:m_ad () in
   let v_ad1, t_ad1 = time (fun () -> Foc.Relalg.count ~ctx:ctx_ad preds a fvars phi) in
   let v_ad2, t_ad2 = time (fun () -> Foc.Relalg.count ~ctx:ctx_ad preds a fvars phi) in
-  let replans = Foc.Eval_obs.replans () in
-  let err = Foc.Eval_obs.err_max_x100 () in
+  let replans = Foc.Obs.Metrics.value m_ad "planner.replans" in
+  let err = Foc.Obs.Metrics.value m_ad "planner.err_max_x100" in
   note_agree "adaptive runs disagree" (v_ad1 = v_off && v_ad2 = v_off);
   note_agree "feedback loop never re-planned" (replans > 0);
   note_agree "no estimation error was observed" (err > 800);
@@ -1518,7 +1535,11 @@ let e16 () =
   in
   note_agree "planned vs unplanned" (v_on = v_seed);
   let small = skew_structure ~seed:2 60 in
-  let v_small = Foc.Relalg.count ~ctx:(stats_ctx 8) preds small fvars phi in
+  let v_small =
+    Foc.Relalg.count
+      ~ctx:(stats_ctx ~metrics:(Foc.Obs.Metrics.create ()) 8)
+      preds small fvars phi
+  in
   let v_naive =
     Foc.Naive.ground_term preds small (Foc.Ast.Count (fvars, phi))
   in

@@ -125,54 +125,43 @@ let setup_obs ~trace ~metrics ~log_level =
   if metrics || trace <> None then Foc.Obs.set_timing true;
   if trace <> None then Foc.Obs.Trace.enable ()
 
-(* report + export at command end; the export here also covers the
-   baseline engines, which have no Engine.t to export for them *)
-let finish_obs ~trace ~metrics eng =
-  (match eng with
-  | Some e when metrics ->
-      List.iter
-        (Printf.printf "# metric: %s\n")
-        (Foc.Obs.Metrics.report (Foc.Engine.metrics e))
+(* report + export at command end: [reg] is the registry the evaluation
+   charged (an engine's, or the one the relalg baseline's ctx was given) *)
+let finish_obs ~trace ~metrics reg =
+  (match reg with
+  | Some r when metrics ->
+      List.iter (Printf.printf "# metric: %s\n") (Foc.Obs.Metrics.report r)
   | _ -> ());
   match trace with
   | Some path -> Foc.Obs.Trace.export_chrome path
   | None -> ()
 
-let make_engine ?(jobs = 0) ?(ball_cache_mb = 64) ?(stats_buckets = 64)
-    ?(adaptive = true) ?trace_file engine =
-  let jobs = if jobs <= 0 then Foc.Par.default_jobs () else jobs in
-  let with_backend backend =
-    Some
-      (Foc.Engine.create
-         ~config:
-           {
-             Foc.Engine.default_config with
-             backend;
-             jobs;
-             ball_cache_mb;
-             trace_file;
-             stats_buckets;
-             adaptive;
-           }
-         ())
-  in
-  match engine with
-  | `Direct -> with_backend Foc.Engine.Direct
-  | `Cover -> with_backend Foc.Engine.Cover
-  | `Splitter ->
-      with_backend (Foc.Engine.Splitter { max_rounds = 4; small = 32 })
-  | `Hanf -> with_backend Foc.Engine.Hanf
+(* the localized back-ends; the relalg baseline and naive have no Engine.t *)
+let backend_of = function
+  | `Direct -> Some Foc.Engine.Direct
+  | `Cover -> Some Foc.Engine.Cover
+  | `Splitter -> Some (Foc.Engine.Splitter { max_rounds = 4; small = 32 })
+  | `Hanf -> Some Foc.Engine.Hanf
   | `Relalg | `Naive -> None
+
+let session_backend ~cmd engine =
+  match backend_of engine with
+  | Some backend -> backend
+  | None ->
+      Printf.eprintf
+        "error: %s runs on a session engine (direct|cover|splitter|hanf)\n"
+        cmd;
+      exit 2
 
 (* one shared logfmt emitter behind "# stats:", so a newly added counter
    can never drift out of the printout (same line the bench prints) *)
-let print_stats eng =
-  Printf.printf "# stats: %s\n" (Foc.Engine.stats_line eng)
+let print_stats reg =
+  Printf.printf "# stats: %s\n" (Foc.Obs.Metrics.line reg)
 
 (* the relalg baseline plans with the same statistics layer as the engine
    fallbacks: one collect per structure, memoised across a query's
    sub-evaluations *)
-let make_relalg_ctx ~stats_buckets ~adaptive () =
+let make_relalg_ctx ~stats_buckets ~adaptive ~metrics =
   let memo = ref [] in
   let stats_for a =
     match List.assq_opt a !memo with
@@ -182,125 +171,136 @@ let make_relalg_ctx ~stats_buckets ~adaptive () =
         memo := (a, st) :: !memo;
         st
   in
-  Foc.Relalg.make_ctx ~stats_for ~buckets:stats_buckets ~adaptive ()
-
-let print_baseline_stats () =
-  Printf.printf "# stats: %s\n" (Foc.Eval_obs.line ())
+  Foc.Relalg.make_ctx ~stats_for ~buckets:stats_buckets ~adaptive ~metrics ()
 
 (* wall clock: with --jobs > 1, CPU time would sum across domains *)
 let timed = Foc.Obs.Clock.timed
 
-(* ---------------- check ---------------- *)
+(* ---------------- local evaluation (check / count / query / sql) -------- *)
+
+(* the evaluation flags every local verb takes *)
+type local = {
+  engine : [ `Direct | `Cover | `Splitter | `Hanf | `Relalg | `Naive ];
+  jobs : int;
+  ball_cache_mb : int;
+  stats_buckets : int;
+  adaptive : bool;
+  stats : bool;
+  trace : string option;
+  metrics : bool;
+  log_level : string;
+}
+
+let local_term =
+  let make engine jobs ball_cache_mb stats_buckets no_adaptive stats trace
+      metrics log_level =
+    { engine; jobs; ball_cache_mb; stats_buckets; adaptive = not no_adaptive;
+      stats; trace; metrics; log_level }
+  in
+  Term.(
+    const make $ engine_arg $ jobs_arg $ ball_cache_arg $ stats_buckets_arg
+    $ no_adaptive_arg $ stats_arg $ trace_arg $ metrics_arg $ log_level_arg)
+
+let local_engine o =
+  let jobs = if o.jobs <= 0 then Foc.Par.default_jobs () else o.jobs in
+  Option.map
+    (fun backend ->
+      Foc.Engine.create
+        ~config:
+          {
+            Foc.Engine.default_config with
+            backend;
+            jobs;
+            ball_cache_mb = o.ball_cache_mb;
+            trace_file = o.trace;
+            stats_buckets = o.stats_buckets;
+            adaptive = o.adaptive;
+          }
+        ())
+    (backend_of o.engine)
+
+(* Time one evaluation on the engine the flags pick — a localized engine,
+   the naive evaluator, or the relalg baseline on a ctx charging a
+   registry of its own — then print --stats/--metrics from the registry
+   that was charged and export --trace. *)
+let evaluate o ~engine ~naive ~relalg =
+  let (result, seconds), reg =
+    match (local_engine o, o.engine) with
+    | Some eng, _ -> (timed (fun () -> engine eng), Some (Foc.Engine.metrics eng))
+    | None, `Naive ->
+        (timed (fun () -> Foc.Obs.span ~name:"naive" naive), None)
+    | None, _ ->
+        let metrics = Foc.Obs.Metrics.create () in
+        let ctx =
+          make_relalg_ctx ~stats_buckets:o.stats_buckets ~adaptive:o.adaptive
+            ~metrics
+        in
+        ( timed (fun () -> Foc.Obs.span ~name:"fallback" (fun () -> relalg ctx)),
+          Some metrics )
+  in
+  (match reg with Some r when o.stats -> print_stats r | _ -> ());
+  finish_obs ~trace:o.trace ~metrics:o.metrics reg;
+  (result, seconds)
+
+let parse_or_exit parse src =
+  try parse src
+  with Foc.Parser.Error (m, p) ->
+    Printf.eprintf "parse error at %d: %s\n" p m;
+    exit 2
+
+(* [check] and [count]: one positional input, one answer line *)
+let eval_cmd ~name ~doc ~docv ~input_doc ~parse ~engine ~naive ~relalg
+    ~print =
+  let run structure o src =
+    setup_obs ~trace:o.trace ~metrics:o.metrics ~log_level:o.log_level;
+    let a = load_structure structure in
+    let x = parse_or_exit parse src in
+    let result, seconds =
+      evaluate o
+        ~engine:(fun eng -> engine eng a x)
+        ~naive:(fun () -> naive Foc.predicates a x)
+        ~relalg:(fun ctx -> relalg ctx a x)
+    in
+    print result;
+    Printf.printf "# %.6fs\n" seconds
+  in
+  let src =
+    Arg.(required & pos 0 (some string) None & info [] ~docv ~doc:input_doc)
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ structure_arg $ local_term $ src)
 
 let check_cmd =
-  let run structure engine jobs ball_cache_mb stats_buckets no_adaptive
-      stats trace metrics log_level
-      src =
-    setup_obs ~trace ~metrics ~log_level;
-    let a = load_structure structure in
-    let phi =
-      try Foc.parse_formula src
-      with Foc.Parser.Error (m, p) ->
-        Printf.eprintf "parse error at %d: %s\n" p m;
-        exit 2
-    in
-    let eng = make_engine ~jobs ~ball_cache_mb ~stats_buckets
-        ~adaptive:(not no_adaptive) ?trace_file:trace engine in
-    let result, seconds =
-      match eng with
-      | Some eng ->
-          let r = timed (fun () -> Foc.Engine.check eng a phi) in
-          if stats then print_stats eng;
-          r
-      | None ->
-          if engine = `Naive then
-            timed (fun () ->
-                Foc.Obs.span ~name:"naive" (fun () ->
-                    Foc.Naive.sentence Foc.predicates a phi))
-          else begin
-            let ctx =
-              make_relalg_ctx ~stats_buckets ~adaptive:(not no_adaptive) ()
-            in
-            let r =
-              timed (fun () ->
-                  Foc.Obs.span ~name:"fallback" (fun () ->
-                      Foc.Relalg.holds ~ctx Foc.predicates a [] phi))
-            in
-            if stats then print_baseline_stats ();
-            r
-          end
-    in
-    finish_obs ~trace ~metrics eng;
-    Printf.printf "%b\n" result;
-    Printf.printf "# %.6fs\n" seconds
-  in
-  let src =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"SENTENCE" ~doc:"FOC(P) sentence to model-check.")
-  in
-  Cmd.v
-    (Cmd.info "check" ~doc:"Model-check a FOC(P) sentence on a structure.")
-    Term.(
-      const run $ structure_arg $ engine_arg $ jobs_arg $ ball_cache_arg
-      $ stats_buckets_arg $ no_adaptive_arg $ stats_arg $ trace_arg $ metrics_arg $ log_level_arg $ src)
-
-(* ---------------- count ---------------- *)
+  eval_cmd ~name:"check" ~doc:"Model-check a FOC(P) sentence on a structure."
+    ~docv:"SENTENCE" ~input_doc:"FOC(P) sentence to model-check."
+    ~parse:Foc.parse_formula ~engine:Foc.Engine.check
+    ~naive:Foc.Naive.sentence
+    ~relalg:(fun ctx a phi -> Foc.Relalg.holds ~ctx Foc.predicates a [] phi)
+    ~print:(Printf.printf "%b\n")
 
 let count_cmd =
-  let run structure engine jobs ball_cache_mb stats_buckets no_adaptive
-      stats trace metrics log_level
-      src =
-    setup_obs ~trace ~metrics ~log_level;
-    let a = load_structure structure in
-    let term =
-      try Foc.parse_term src
-      with Foc.Parser.Error (m, p) ->
-        Printf.eprintf "parse error at %d: %s\n" p m;
-        exit 2
-    in
-    let eng = make_engine ~jobs ~ball_cache_mb ~stats_buckets
-        ~adaptive:(not no_adaptive) ?trace_file:trace engine in
-    let result, seconds =
-      match eng with
-      | Some eng ->
-          let r = timed (fun () -> Foc.Engine.eval_ground eng a term) in
-          if stats then print_stats eng;
-          r
-      | None ->
-          if engine = `Naive then
-            timed (fun () ->
-                Foc.Obs.span ~name:"naive" (fun () ->
-                    Foc.Naive.ground_term Foc.predicates a term))
-          else begin
-            let ctx =
-              make_relalg_ctx ~stats_buckets ~adaptive:(not no_adaptive) ()
-            in
-            let r =
-              timed (fun () ->
-                  Foc.Obs.span ~name:"fallback" (fun () ->
-                      Foc.Relalg.term_value ~ctx Foc.predicates a [] term))
-            in
-            if stats then print_baseline_stats ();
-            r
-          end
-    in
-    finish_obs ~trace ~metrics eng;
-    Printf.printf "%d\n" result;
-    Printf.printf "# %.6fs\n" seconds
-  in
-  let src =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"TERM" ~doc:"Ground counting term to evaluate.")
-  in
-  Cmd.v
-    (Cmd.info "count" ~doc:"Evaluate a ground counting term on a structure.")
-    Term.(
-      const run $ structure_arg $ engine_arg $ jobs_arg $ ball_cache_arg
-      $ stats_buckets_arg $ no_adaptive_arg $ stats_arg $ trace_arg $ metrics_arg $ log_level_arg $ src)
+  eval_cmd ~name:"count" ~doc:"Evaluate a ground counting term on a structure."
+    ~docv:"TERM" ~input_doc:"Ground counting term to evaluate."
+    ~parse:Foc.parse_term ~engine:Foc.Engine.eval_ground
+    ~naive:Foc.Naive.ground_term
+    ~relalg:(fun ctx a t -> Foc.Relalg.term_value ~ctx Foc.predicates a [] t)
+    ~print:(Printf.printf "%d\n")
+
+(* [query] and [sql]: materialise the answer rows of a Definition 5.2 query *)
+let run_query o a q =
+  evaluate o
+    ~engine:(fun eng -> Foc.Engine.run_query eng a q)
+    ~naive:(fun () -> Foc.Naive.query Foc.predicates a q)
+    ~relalg:(fun ctx -> Foc.Relalg.query ~ctx Foc.predicates a q)
+
+let print_row (tuple, values) =
+  Array.iter (Printf.printf "%d ") tuple;
+  print_string "| ";
+  Array.iter (Printf.printf "%d ") values;
+  print_newline ()
+
+let print_rows ~limit rows seconds =
+  Printf.printf "# %d rows, %.6fs\n" (List.length rows) seconds;
+  List.iteri (fun i row -> if i < limit then print_row row) rows
 
 (* ---------------- socket plumbing (query/serve/call/...) ---------------- *)
 
@@ -348,10 +348,8 @@ let timeout_arg =
 (* ---------------- query ---------------- *)
 
 let query_cmd =
-  let run structure engine jobs ball_cache_mb stats_buckets no_adaptive
-      stats trace metrics log_level
-      head terms body limit page socket tcp timeout =
-    setup_obs ~trace ~metrics ~log_level;
+  let run structure o head terms body limit page socket tcp timeout =
+    setup_obs ~trace:o.trace ~metrics:o.metrics ~log_level:o.log_level;
     (* remote: stream over a running foc serve (no structure file needed) *)
     (match parse_address socket tcp with
     | Some address ->
@@ -374,12 +372,9 @@ let query_cmd =
           }
         in
         (match
-           Foc.Server_client.query_iter c req (fun (tuple, values) ->
+           Foc.Server_client.query_iter c req (fun row ->
                incr nrows;
-               Array.iter (Printf.printf "%d ") tuple;
-               print_string "| ";
-               Array.iter (Printf.printf "%d ") values;
-               print_newline ())
+               print_row row)
          with
         | Ok producer ->
             Printf.printf "# %d rows, %.6fs (streamed, producer=%s)\n" !nrows
@@ -427,79 +422,42 @@ let query_cmd =
         Printf.eprintf "bad query: %s\n" m;
         exit 2
     in
-    let eng = make_engine ~jobs ~ball_cache_mb ~stats_buckets
-        ~adaptive:(not no_adaptive) ?trace_file:trace engine in
     (* --page: stream through a pull cursor instead of materialising;
        rows print as they are produced and --limit caps production, not
        just printing *)
-    (match (page, eng) with
-    | Some _, None ->
-        Printf.eprintf
-          "error: --page needs a localized engine \
-           (direct|cover|splitter|hanf)\n";
-        exit 2
-    | Some _, Some eng ->
-        let t0 = Unix.gettimeofday () in
-        let cur = Foc.Engine.enumerate eng ~limit a q in
-        let ttfr = ref 0. in
-        let nrows = ref 0 in
-        let rec drain () =
-          match cur.Foc.Enum.next () with
-          | None -> ()
-          | Some (tuple, values) ->
-              if !nrows = 0 then ttfr := Unix.gettimeofday () -. t0;
-              incr nrows;
-              Array.iter (Printf.printf "%d ") tuple;
-              print_string "| ";
-              Array.iter (Printf.printf "%d ") values;
-              print_newline ();
-              drain ()
-        in
-        drain ();
-        cur.Foc.Enum.close ();
-        if stats then print_stats eng;
-        finish_obs ~trace ~metrics (Some eng);
-        Printf.printf
-          "# %d rows, %.6fs (streamed, producer=%s, ttfr %.6fs)\n" !nrows
-          (Unix.gettimeofday () -. t0)
-          cur.Foc.Enum.producer !ttfr;
-        exit 0
-    | None, _ -> ());
-    let rows, seconds =
-      match eng with
-      | Some eng ->
-          let r = timed (fun () -> Foc.Engine.run_query eng a q) in
-          if stats then print_stats eng;
-          r
-      | None ->
-          if engine = `Naive then
-            timed (fun () ->
-                Foc.Obs.span ~name:"naive" (fun () ->
-                    Foc.Naive.query Foc.predicates a q))
-          else begin
-            let ctx =
-              make_relalg_ctx ~stats_buckets ~adaptive:(not no_adaptive) ()
-            in
-            let r =
-              timed (fun () ->
-                  Foc.Obs.span ~name:"fallback" (fun () ->
-                      Foc.Relalg.query ~ctx Foc.predicates a q))
-            in
-            if stats then print_baseline_stats ();
-            r
-          end
-    in
-    finish_obs ~trace ~metrics eng;
-    Printf.printf "# %d rows, %.6fs\n" (List.length rows) seconds;
-    List.iteri
-      (fun i (tuple, values) ->
-        if i < limit then begin
-          Array.iter (Printf.printf "%d ") tuple;
-          print_string "| ";
-          Array.iter (Printf.printf "%d ") values;
-          print_newline ()
-        end)
-      rows
+    (if page <> None then
+       match local_engine o with
+       | None ->
+           Printf.eprintf
+             "error: --page needs a localized engine \
+              (direct|cover|splitter|hanf)\n";
+           exit 2
+       | Some eng ->
+           let t0 = Unix.gettimeofday () in
+           let cur = Foc.Engine.enumerate eng ~limit a q in
+           let ttfr = ref 0. in
+           let nrows = ref 0 in
+           let rec drain () =
+             match cur.Foc.Enum.next () with
+             | None -> ()
+             | Some row ->
+                 if !nrows = 0 then ttfr := Unix.gettimeofday () -. t0;
+                 incr nrows;
+                 print_row row;
+                 drain ()
+           in
+           drain ();
+           cur.Foc.Enum.close ();
+           let reg = Foc.Engine.metrics eng in
+           if o.stats then print_stats reg;
+           finish_obs ~trace:o.trace ~metrics:o.metrics (Some reg);
+           Printf.printf
+             "# %d rows, %.6fs (streamed, producer=%s, ttfr %.6fs)\n" !nrows
+             (Unix.gettimeofday () -. t0)
+             cur.Foc.Enum.producer !ttfr;
+           exit 0);
+    let rows, seconds = run_query o a q in
+    print_rows ~limit rows seconds
   in
   let head =
     Arg.(
@@ -547,9 +505,8 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query" ~doc:"Run a FOC1(P)-query (Definition 5.2).")
     Term.(
-      const run $ structure_opt $ engine_arg $ jobs_arg $ ball_cache_arg
-      $ stats_buckets_arg $ no_adaptive_arg $ stats_arg $ trace_arg $ metrics_arg $ log_level_arg $ head $ terms
-      $ body $ limit $ page $ socket_arg $ tcp_arg $ timeout_arg)
+      const run $ structure_opt $ local_term $ head $ terms $ body $ limit
+      $ page $ socket_arg $ tcp_arg $ timeout_arg)
 
 (* ---------------- gen ---------------- *)
 
@@ -712,10 +669,8 @@ let gendb_cmd =
     Term.(const run $ customers $ orders $ countries $ cities $ seed $ output)
 
 let sql_cmd =
-  let run structure engine jobs ball_cache_mb stats_buckets no_adaptive
-      stats trace metrics log_level
-      src limit =
-    setup_obs ~trace ~metrics ~log_level;
+  let run structure o src limit =
+    setup_obs ~trace:o.trace ~metrics:o.metrics ~log_level:o.log_level;
     let a = load_structure structure in
     let q =
       try
@@ -727,43 +682,8 @@ let sql_cmd =
         exit 2
     in
     Printf.printf "FOC1> %s\n" (Format.asprintf "%a" Foc.Query.pp q);
-    let eng = make_engine ~jobs ~ball_cache_mb ~stats_buckets
-        ~adaptive:(not no_adaptive) ?trace_file:trace engine in
-    let rows, seconds =
-      match eng with
-      | Some eng ->
-          let r = timed (fun () -> Foc.Engine.run_query eng a q) in
-          if stats then print_stats eng;
-          r
-      | None ->
-          if engine = `Naive then
-            timed (fun () ->
-                Foc.Obs.span ~name:"naive" (fun () ->
-                    Foc.Naive.query Foc.predicates a q))
-          else begin
-            let ctx =
-              make_relalg_ctx ~stats_buckets ~adaptive:(not no_adaptive) ()
-            in
-            let r =
-              timed (fun () ->
-                  Foc.Obs.span ~name:"fallback" (fun () ->
-                      Foc.Relalg.query ~ctx Foc.predicates a q))
-            in
-            if stats then print_baseline_stats ();
-            r
-          end
-    in
-    finish_obs ~trace ~metrics eng;
-    Printf.printf "# %d rows, %.6fs\n" (List.length rows) seconds;
-    List.iteri
-      (fun i (tuple, values) ->
-        if i < limit then begin
-          Array.iter (Printf.printf "%d ") tuple;
-          print_string "| ";
-          Array.iter (Printf.printf "%d ") values;
-          print_newline ()
-        end)
-      rows
+    let rows, seconds = run_query o a q in
+    print_rows ~limit rows seconds
   in
   let src =
     Arg.(
@@ -781,9 +701,7 @@ let sql_cmd =
   in
   Cmd.v
     (Cmd.info "sql" ~doc:"Run an SQL COUNT statement compiled to FOC1.")
-    Term.(
-      const run $ structure_arg $ engine_arg $ jobs_arg $ ball_cache_arg
-      $ stats_buckets_arg $ no_adaptive_arg $ stats_arg $ trace_arg $ metrics_arg $ log_level_arg $ src $ limit)
+    Term.(const run $ structure_arg $ local_term $ src $ limit)
 
 let budget_arg =
   Arg.(
@@ -811,18 +729,7 @@ let serve_cmd =
             "error: serve needs --socket PATH or --tcp [HOST:]PORT\n";
           exit 2
     in
-    let backend =
-      match engine with
-      | `Direct -> Foc.Engine.Direct
-      | `Cover -> Foc.Engine.Cover
-      | `Splitter -> Foc.Engine.Splitter { max_rounds = 4; small = 32 }
-      | `Hanf -> Foc.Engine.Hanf
-      | `Relalg | `Naive ->
-          Printf.eprintf
-            "error: serve runs on a session engine \
-             (direct|cover|splitter|hanf)\n";
-          exit 2
-    in
+    let backend = session_backend ~cmd:"serve" engine in
     let jobs = if jobs <= 0 then Foc.Par.default_jobs () else jobs in
     let cfg =
       {
@@ -1237,18 +1144,6 @@ let top_cmd =
    directory, load verify-restores one (exit 1 on a damaged store, exit 5
    on an answer mismatch so CI can gate on bit-identity). *)
 
-let session_backend ~cmd engine =
-  match engine with
-  | `Direct -> Foc.Engine.Direct
-  | `Cover -> Foc.Engine.Cover
-  | `Splitter -> Foc.Engine.Splitter { max_rounds = 4; small = 32 }
-  | `Hanf -> Foc.Engine.Hanf
-  | `Relalg | `Naive ->
-      Printf.eprintf
-        "error: %s runs on a session engine (direct|cover|splitter|hanf)\n"
-        cmd;
-      exit 2
-
 let store_dir_arg =
   Arg.(
     required
@@ -1428,27 +1323,8 @@ let batch_cmd =
       |> List.map String.trim
       |> List.filter (fun l -> l <> "" && not (comment l))
     in
-    let phis =
-      List.map
-        (fun src ->
-          try Foc.parse_formula src
-          with Foc.Parser.Error (m, p) ->
-            Printf.eprintf "parse error in %S at %d: %s\n" src p m;
-            exit 2)
-        srcs
-    in
-    let backend =
-      match engine with
-      | `Direct -> Foc.Engine.Direct
-      | `Cover -> Foc.Engine.Cover
-      | `Splitter -> Foc.Engine.Splitter { max_rounds = 4; small = 32 }
-      | `Hanf -> Foc.Engine.Hanf
-      | `Relalg | `Naive ->
-          Printf.eprintf
-            "error: batch runs on a session engine \
-             (direct|cover|splitter|hanf)\n";
-          exit 2
-    in
+    let phis = List.map snd (parse_sentences srcs) in
+    let backend = session_backend ~cmd:"batch" engine in
     let jobs = if jobs <= 0 then Foc.Par.default_jobs () else jobs in
     let config =
       {
@@ -1468,7 +1344,7 @@ let batch_cmd =
           done;
           !r)
     in
-    finish_obs ~trace ~metrics (Some (Foc.Session.engine sess));
+    finish_obs ~trace ~metrics (Some (Foc.Session.metrics sess));
     List.iter (fun b -> Printf.printf "%b\n" b) results;
     if stats then
       Printf.printf "# stats: %s\n" (Foc.Session.stats_line sess);

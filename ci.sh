@@ -130,6 +130,17 @@ grep -q '# TYPE foc_req_check_ns histogram' /tmp/ci_metrics_out.txt || {
   echo "ci: metrics page missing request histograms"
   exit 1
 }
+# the baseline counters the explain above charged live in the session
+# registry: the metrics page and the stats op must both still show them
+grep -q '^foc_join_count ' /tmp/ci_metrics_out.txt || {
+  echo "ci: metrics page missing foc_join_count"
+  exit 1
+}
+"$FOC" call --socket "$SOCK" --timeout 10 '{"op":"stats"}' \
+  | grep -q 'join.count=' || {
+  echo "ci: stats op shows no join.count"
+  exit 1
+}
 # one top snapshot over the wire keeps the stats op parsing honest
 "$FOC" top --socket "$SOCK" --timeout 10 --interval 0.1 --count 1 \
   | grep -q 'read latency' || { echo "ci: foc top produced no view"; exit 1; }

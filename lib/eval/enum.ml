@@ -25,9 +25,11 @@ let producer c = c.producer
 
 (* Shared wrapper: limit enforcement, close/exhaustion latching, and the
    Eval_obs instrumentation (rows yielded, per-[next] delay histogram,
-   time-to-first-row including producer preprocessing). *)
+   time-to-first-row including producer preprocessing). [next] runs after
+   the opening evaluation returned, so it charges the slot captured here. *)
 let make ?limit ~producer ~next:gen ~close () =
-  Eval_obs.note_cursor_opened ();
+  let obs = Eval_obs.current () in
+  Option.iter Eval_obs.note_cursor_opened obs;
   let opened_ns = Foc_obs.Clock.now_ns () in
   let yielded = ref 0 in
   let finished = ref false in
@@ -45,9 +47,13 @@ let make ?limit ~producer ~next:gen ~close () =
           finished := true;
           None
       | Some _ as r ->
-          let now = Foc_obs.Clock.now_ns () in
-          if !yielded = 0 then Eval_obs.note_enum_first ~ns:(now - opened_ns);
-          Eval_obs.note_enum_row ~delay_ns:(now - t0);
+          (match obs with
+          | Some o ->
+              let now = Foc_obs.Clock.now_ns () in
+              if !yielded = 0 then
+                Eval_obs.note_enum_first o ~ns:(now - opened_ns);
+              Eval_obs.note_enum_row o ~delay_ns:(now - t0)
+          | None -> ());
           incr yielded;
           r
     end

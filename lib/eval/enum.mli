@@ -15,8 +15,9 @@
     size, with no output materialisation. Producer selection lives in
     [Engine.enumerate].
 
-    Every cursor feeds {!Eval_obs}: cursors opened, rows yielded, the
-    [enum.delay.ns] per-[next] histogram, and [enum.ttfr.ns]
+    A cursor opened while an {!Eval_obs} slot is installed (as
+    [Engine.enumerate] does) captures it and feeds it: cursors opened, rows
+    yielded, the [enum.delay.ns] per-[next] histogram, and [enum.ttfr.ns]
     (time-to-first-row including producer preprocessing). *)
 
 open Foc_logic

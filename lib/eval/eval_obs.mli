@@ -1,20 +1,38 @@
-(** Observability for the relational-algebra baseline: one process-wide
-    {!Foc_obs.Metrics} registry fed by the columnar {!Table} kernels and the
-    {!Relalg} conjunction planner.
+(** Observability for the relational-algebra baseline: the counters fed by
+    the columnar {!Table} kernels, the {!Relalg} conjunction planner and
+    the {!Enum} cursors, plus a ring of the conjunction plans executed.
 
     The counters never change an evaluation result — they exist so tests and
     the E13 benchmark can verify planner behaviour (e.g. that negation in
     conjunctive context is compiled into anti-joins and {e never} into a
     full [n^k] complement).
 
-    The registry is owned by the calling domain (the baseline engine is
-    sequential); {!reset} swaps in a fresh registry so a benchmark or test
-    can measure a single run without interference. *)
+    There is no process-wide registry. A {!t} resolves its counter handles
+    once on a caller's {!Foc_obs.Metrics} registry — the one of the engine
+    or {!Relalg.ctx} doing the work — and owns the plan ring. The kernels
+    charge the [t] installed on the calling domain by {!charging}; with
+    none installed, recording is a no-op. *)
 
-(** Drop all counters (fresh registry). *)
-val reset : unit -> unit
+type t
 
-(** {2 Recording (called by the kernels; not for users)} *)
+(** [create registry] resolves (registering where missing) every baseline
+    metric on [registry]: [table.*], [join.*], [complement.*],
+    [planner.*] and [enum.*]. *)
+val create : Foc_obs.Metrics.t -> t
+
+(** [owns name] — [name] is one of the metrics {!create} registers
+    (by prefix), e.g. to print the baseline's part of a wider registry. *)
+val owns : string -> bool
+
+(** [charging t f] runs [f] with [t] installed as the calling domain's
+    charge slot (restored on exit, exception-safe). *)
+val charging : t -> (unit -> 'a) -> 'a
+
+(** The calling domain's installed slot, if any — an {!Enum} cursor
+    captures it when it opens. *)
+val current : unit -> t option
+
+(** {2 Recording into the installed slot (called by the kernels)} *)
 
 val note_table : rows:int -> words:int -> unit
 val note_join : build:int -> probe:int -> unit
@@ -35,132 +53,54 @@ val note_op_card : est:float -> actual:int -> unit
 (** A conjunction was re-planned with observed selectivities. *)
 val note_replan : unit -> unit
 
-(** An {!Enum} cursor was opened ([enum.cursors_opened]). *)
-val note_cursor_opened : unit -> unit
-
-(** [note_enum_row ~delay_ns] — a cursor yielded one answer after
-    [delay_ns] nanoseconds spent inside [next] (counter [enum.rows],
-    histogram [enum.delay.ns]). *)
-val note_enum_row : delay_ns:int -> unit
-
-(** [note_enum_first ~ns] — time from cursor creation to its first yielded
-    row, including producer preprocessing (histogram [enum.ttfr.ns]). *)
-val note_enum_first : ns:int -> unit
-
 (** [note_plan_error ~ratio] — worst per-step estimation error ratio of a
     finished plan (gauge [planner.err_max_x100], peak-tracked). *)
 val note_plan_error : ratio:float -> unit
 
-(** Record the join order a [plan_and] chose (diagnostic ring, last 64). *)
-val note_plan_order : int list -> unit
-
 (** [note_plan_exec ~order ~steps ~replanned] — one executed conjunction
     plan: its join order, each executed join step's (predicted, actual)
     output rows in execution order, and whether the order came from the
-    adaptive feedback loop re-planning an earlier misestimate. Ring of the
-    last 64, sequence-numbered so a caller can ask for the plans recorded
-    during one evaluation ({!plans_since}). *)
+    adaptive feedback loop re-planning an earlier misestimate. *)
 val note_plan_exec :
   order:int list -> steps:(float * int) list -> replanned:bool -> unit
 
-(** {2 Reading} *)
+(** {2 Recording into a cursor's captured slot}
 
-val tables_built : unit -> int
+    A cursor's [next] runs after the evaluation that opened it has
+    returned, so it charges the [t] it captured with {!current} at open
+    time: per row, plain counter and histogram stores. *)
 
-(** Total rows materialised across all tables built since {!reset}. *)
-val rows_built : unit -> int
+val note_cursor_opened : t -> unit
 
-val joins : unit -> int
+(** [note_enum_row t ~delay_ns] — a cursor yielded one answer after
+    [delay_ns] nanoseconds spent inside [next] (counter [enum.rows],
+    histogram [enum.delay.ns]). *)
+val note_enum_row : t -> delay_ns:int -> unit
 
-(** Rows on the build (hash-indexed) side of every join — with the
-    cardinality-guided build-side choice this is the sum of the {e smaller}
-    operand sizes. *)
-val join_build_rows : unit -> int
+(** [note_enum_first t ~ns] — time from cursor creation to its first
+    yielded row, including producer preprocessing (histogram
+    [enum.ttfr.ns]). *)
+val note_enum_first : t -> ns:int -> unit
 
-val join_probe_rows : unit -> int
-val semijoins : unit -> int
-val antijoins : unit -> int
-
-(** Number of full [n^k] complement materialisations (the top-level escape
-    hatch). Zero on formulas whose negations all occur in conjunctive
-    context. *)
-val complements : unit -> int
-
-val complement_rows : unit -> int
-
-(** Negations compiled into anti-joins instead of complements. *)
-val complements_avoided : unit -> int
-
-(** [Eq] atoms applied as selections/column-copies instead of joins. *)
-val selections_pushed : unit -> int
-
-(** [Forall] quantifiers compiled as group-count division. *)
-val divisions : unit -> int
-
-(** Negated conjuncts whose variables were not covered by any positive
-    conjunct: the current table had to be padded with full columns before
-    the anti-join (degenerates towards the complement cost). *)
-val neg_extensions : unit -> int
-
-(** Uncovered negations where the cost model picked the [n^arity]
-    complement + join over padding the current table (chosen only when a
-    planning context makes the comparison possible and the complement is
-    estimated cheaper). *)
-val neg_complements : unit -> int
-
-(** Sum of predicted output rows across planned joins/anti-joins… *)
-val est_rows : unit -> int
-
-(** …and the matching sum of actual output rows — the pair the bench uses
-    to assert estimation quality. *)
-val actual_rows : unit -> int
-
-(** Conjunctions re-planned with observed selectivities (the adaptive
-    feedback loop). *)
-val replans : unit -> int
-
-(** Cursors opened / rows yielded by {!Enum} since {!reset}. *)
-val cursors_opened : unit -> int
-
-val enum_rows : unit -> int
-
-(** Quantiles of the [enum.delay.ns] / [enum.ttfr.ns] histograms (see
-    {!Foc_obs.Metrics.Histogram.quantile}; [0.] when empty). *)
-val enum_delay_quantile : float -> float
-
-val enum_ttfr_quantile : float -> float
-
-(** Peak per-plan worst-step estimation error ratio, ×100. *)
-val err_max_x100 : unit -> int
-
-(** Join orders chosen by recent [plan_and] calls, oldest first (at most
-    64 retained) — lets the bench assert a plan {e flip} between two
-    configurations. *)
-val plan_orders : unit -> int list list
+(** {2 The plan ring} *)
 
 type plan_record = {
-  pseq : int;  (** position in the sequence of plans since {!reset} *)
+  pseq : int;  (** 1-based position among the plans recorded on this [t] *)
   order : int list;
   steps : (float * int) list;  (** per join step: predicted, actual rows *)
   replanned : bool;
 }
 
-(** Number of plans recorded by {!note_plan_exec} since {!reset} — capture
-    before an evaluation, pass to {!plans_since} after. *)
-val plan_seq : unit -> int
+(** The retained plans (the last 64), oldest first. A caller that wants
+    the plans of one evaluation keeps those with [pseq] above the
+    {!plans_recorded} value it read before. *)
+val plans : t -> plan_record list
 
-(** The retained plans with sequence number strictly greater than the
-    argument, oldest first (ring of 64: plans may have been dropped). *)
-val plans_since : int -> plan_record list
+(** Number of plans ever recorded on this [t] (the newest one's [pseq]). *)
+val plans_recorded : t -> int
 
-(** The backing registry — lets the server merge these counters into a
-    combined Prometheus exposition. *)
-val registry : unit -> Foc_obs.Metrics.t
-
-(** High-water mark of a single table's payload, in bytes. *)
-val peak_table_bytes : unit -> int
-
-(** All counters as one logfmt line (keys sorted). *)
-val line : unit -> string
-
-val report : unit -> string list
+(** [append_plans ~into src] records [src]'s retained plans on [into],
+    oldest first, and advances [into]'s count by all [src] recorded — how
+    a parallel batch folds each worker's plans into its owner after the
+    join. *)
+val append_plans : into:t -> t -> unit

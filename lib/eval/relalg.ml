@@ -4,11 +4,12 @@ module Summary = Foc_stats.Summary
 module Stats = Foc_stats.Stats
 
 (* ------------------------------------------------------------------ *)
-(* Planning context: base-relation statistics, histogram resolution, and
-   the adaptive feedback state. [None] everywhere reproduces the PR-4
-   uniform-domain planner bit-for-bit (and its metrics). A ctx is a
-   mutable single-domain object meant to live as long as an engine or a
-   session, so per-plan observations survive across queries. *)
+(* Planning context: base-relation statistics, histogram resolution, the
+   adaptive feedback state, and the Eval_obs handles every evaluation under
+   it charges. No ctx reproduces the PR-4 uniform-domain planner
+   bit-for-bit. A ctx is a mutable single-domain object meant to live as
+   long as an engine or a session, so per-plan observations survive across
+   queries. *)
 
 type feedback_entry = {
   (* observed selectivity of appending input [next] to the joined prefix
@@ -25,11 +26,26 @@ type ctx = {
   adaptive : bool;
   replan_ratio : float;
   feedback : (Ast.formula list, feedback_entry) Hashtbl.t;
+  obs : Eval_obs.t;
 }
 
 let make_ctx ?stats_for ?(buckets = 64) ?(adaptive = true)
-    ?(replan_ratio = 8.) () =
-  { stats_for; buckets; adaptive; replan_ratio; feedback = Hashtbl.create 16 }
+    ?(replan_ratio = 8.) ~metrics () =
+  {
+    stats_for;
+    buckets;
+    adaptive;
+    replan_ratio;
+    feedback = Hashtbl.create 16;
+    obs = Eval_obs.create metrics;
+  }
+
+let obs c = c.obs
+
+(* an entry point under a ctx charges the ctx's handles; without one, the
+   slot a caller installed (if any) *)
+let charging ctx f =
+  match ctx with Some c -> Eval_obs.charging c.obs f | None -> f ()
 
 (* column summaries for one materialised conjunct table: O(1) from the
    relation statistics for a plain [Rel] atom, otherwise one O(rows) scan
@@ -308,7 +324,6 @@ and plan_and ~plan ~pctx preds a cs =
     Foc_obs.Scope.cue Foc_obs.Scope.Plan (fun () ->
         Planner.plan_joins ~n ?correct inputs)
   in
-  Eval_obs.note_plan_order jplan.Planner.order;
   let replanned = ref false in
   (match (fb, correct) with
   | Some e, Some _ ->
@@ -447,19 +462,22 @@ and tc ~plan ~pctx preds a (t : Ast.term) =
       Counts.of_sorted_groups ~vars:ctx ~multiplier keys cnts
 
 let formula_table ?(plan = true) ?ctx preds a phi =
-  ft ~plan ~pctx:ctx preds a phi
-let term_counts ?(plan = true) ?ctx preds a t = tc ~plan ~pctx:ctx preds a t
+  charging ctx (fun () -> ft ~plan ~pctx:ctx preds a phi)
+
+let term_counts ?(plan = true) ?ctx preds a t =
+  charging ctx (fun () -> tc ~plan ~pctx:ctx preds a t)
 
 let holds ?(plan = true) ?ctx preds a binding phi =
-  let t = ft ~plan ~pctx:ctx preds a phi in
-  not (Table.is_empty (Table.bind t binding))
+  charging ctx (fun () ->
+      let t = ft ~plan ~pctx:ctx preds a phi in
+      not (Table.is_empty (Table.bind t binding)))
 
 let term_value ?(plan = true) ?ctx preds a binding t =
-  let c = tc ~plan ~pctx:ctx preds a t in
+  let c = term_counts ~plan ?ctx preds a t in
   Counts.get c (Naive.env_of_list binding)
 
 let count ?(plan = true) ?ctx preds a vars phi =
-  let t = ft ~plan ~pctx:ctx preds a phi in
+  let t = formula_table ~plan ?ctx preds a phi in
   Array.iter
     (fun x ->
       if not (List.mem x vars) then
@@ -471,26 +489,29 @@ let count ?(plan = true) ?ctx preds a vars phi =
   Table.cardinal t * pow 1 (List.length missing)
 
 let query ?(plan = true) ?ctx preds a (q : Query.t) =
-  check_universe a;
-  let n = Foc_data.Structure.order a in
-  let pctx = ctx in
-  let body = ft ~plan ~pctx preds a q.body in
-  let head = Array.of_list q.head_vars in
-  let missing =
-    Array.to_list head
-    |> List.filter (fun x -> not (Table.has_column body x))
-    |> Array.of_list
-  in
-  let body = Table.extend_full body n missing in
-  let body = Table.align body head in
-  (* head-term readers are compiled once against the head column order *)
-  let readers =
-    Array.of_list
-      (List.map (fun t -> Counts.row (tc ~plan ~pctx preds a t) head) q.head_terms)
-  in
-  let out = ref [] in
-  Table.iter body (fun row ->
-      let values = Array.map (fun rd -> rd row) readers in
-      out := (Array.copy row, values) :: !out);
-  (* Table.iter runs in ascending lexicographic = Tuple.compare order *)
-  List.rev !out
+  charging ctx (fun () ->
+      check_universe a;
+      let n = Foc_data.Structure.order a in
+      let pctx = ctx in
+      let body = ft ~plan ~pctx preds a q.body in
+      let head = Array.of_list q.head_vars in
+      let missing =
+        Array.to_list head
+        |> List.filter (fun x -> not (Table.has_column body x))
+        |> Array.of_list
+      in
+      let body = Table.extend_full body n missing in
+      let body = Table.align body head in
+      (* head-term readers are compiled once against the head column order *)
+      let readers =
+        Array.of_list
+          (List.map
+             (fun t -> Counts.row (tc ~plan ~pctx preds a t) head)
+             q.head_terms)
+      in
+      let out = ref [] in
+      Table.iter body (fun row ->
+          let values = Array.map (fun rd -> rd row) readers in
+          out := (Array.copy row, values) :: !out);
+      (* Table.iter runs in ascending lexicographic = Tuple.compare order *)
+      List.rev !out)

@@ -15,7 +15,9 @@
     negation), and [Forall] becomes relational division. [~plan:false]
     reproduces the historical left-to-right, complement-based strategy —
     the "unplanned" side of experiment E13. Both modes return the same
-    tables; {!Eval_obs} counts what the planner did.
+    tables; {!Eval_obs} counts what the planner did — on the ctx's
+    registry when a {!ctx} is passed, otherwise on the slot the caller
+    installed with {!Eval_obs.charging} (nothing when there is none).
 
     A {!ctx} upgrades the planner from the uniform-domain cardinality
     model to real statistics and closes the adaptive loop:
@@ -44,25 +46,32 @@
 open Foc_logic
 
 (** Planning context: optional per-structure statistics provider,
-    histogram resolution, and the adaptive feedback state (mutable,
+    histogram resolution, the adaptive feedback state, and the
+    {!Eval_obs} counters and plan ring its evaluations charge (mutable,
     single-domain; meant to live as long as an engine or session). *)
 type ctx
 
-(** [make_ctx ?stats_for ?buckets ?adaptive ?replan_ratio ()].
+(** [make_ctx ?stats_for ?buckets ?adaptive ?replan_ratio ~metrics ()].
     [stats_for] maps a structure to its (cached) statistics — e.g.
     [Foc_stats.Stats.collect] or a session's per-version cache; omitted,
     conjunct tables are still scanned for summaries. [buckets] (default
     64) is the histogram resolution, [<= 0] disables summaries entirely.
     [adaptive] (default [true]) enables the estimate-vs-actual feedback
     loop; [replan_ratio] (default 8.) is the worst-step error ratio
-    beyond which observed selectivities are recorded for re-planning. *)
+    beyond which observed selectivities are recorded for re-planning.
+    [metrics] is the registry every evaluation under the ctx charges
+    ({!Eval_obs.create}). *)
 val make_ctx :
   ?stats_for:(Foc_data.Structure.t -> Foc_stats.Stats.t) ->
   ?buckets:int ->
   ?adaptive:bool ->
   ?replan_ratio:float ->
+  metrics:Foc_obs.Metrics.t ->
   unit ->
   ctx
+
+(** The ctx's counter handles and plan ring. *)
+val obs : ctx -> Eval_obs.t
 
 (** [formula_table preds a φ] — the table of satisfying assignments over
     exactly [free φ] (column order unspecified). *)

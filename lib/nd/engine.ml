@@ -92,18 +92,13 @@ type t = {
   mutable rctx : Foc_eval.Relalg.ctx option;
 }
 
-let create ?(config = default_config) () =
-  (match config.trace_file with
-  | Some _ -> Foc_obs.Trace.enable ()
-  | None -> ());
-  { cfg = config; m = make_handles (); fresh = 0; art = None; rctx = None }
-
 (* The planning context handed to every baseline fallback. Statistics
    resolve through the [art_stats] hook when a session installed one;
    otherwise a two-entry physical-identity memo amortises one
    [Stats.collect] per structure (the per-atom row-count guard inside
    [Relalg] falls back to scanning whenever a memoised entry went stale,
-   so a mutated structure can cost plan quality, never correctness). *)
+   so a mutated structure can cost plan quality, never correctness). The
+   ctx charges the engine's registry and holds the engine's plan ring. *)
 let relalg_ctx t =
   match t.rctx with
   | Some c -> c
@@ -123,10 +118,23 @@ let relalg_ctx t =
       in
       let c =
         Foc_eval.Relalg.make_ctx ~stats_for ~buckets:t.cfg.stats_buckets
-          ~adaptive:t.cfg.adaptive ()
+          ~adaptive:t.cfg.adaptive ~metrics:t.m.registry ()
       in
       t.rctx <- Some c;
       c
+
+let create ?(config = default_config) () =
+  (match config.trace_file with
+  | Some _ -> Foc_obs.Trace.enable ()
+  | None -> ());
+  let t =
+    { cfg = config; m = make_handles (); fresh = 0; art = None; rctx = None }
+  in
+  (* registers the baseline's metrics: a fresh engine lists them at 0 *)
+  ignore (relalg_ctx t);
+  t
+
+let eval_obs t = Foc_eval.Relalg.obs (relalg_ctx t)
 
 let set_artifacts t art = t.art <- art
 
@@ -632,8 +640,14 @@ let run_query_inner t a (q : Query.t) =
       (* Table.iter runs in ascending Tuple.compare order already *)
       List.rev !out
 
+(* [run_query] and [enumerate] call the [Table] kernels and open [Enum]
+   cursors themselves, outside any [Relalg] entry point: they run with the
+   engine's baseline counters installed *)
+let with_charged_artifacts t f =
+  Foc_eval.Eval_obs.charging (eval_obs t) (fun () -> with_artifacts t f)
+
 let run_query t a q =
-  with_artifacts t (fun () ->
+  with_charged_artifacts t (fun () ->
       let v = run_query_inner t a q in
       maybe_export t;
       v)
@@ -726,7 +740,7 @@ let enumerate_inner t a ?limit ?after (q : Query.t) =
           Foc_eval.Enum.of_table ?limit ?after ~values table)
 
 let enumerate t a ?limit ?after q =
-  with_artifacts t (fun () ->
+  with_charged_artifacts t (fun () ->
       (* all preprocessing (artifact access included) happens before the
          cursor escapes; [next] only reads the prepared arrays/tables *)
       let c = enumerate_inner t a ?limit ?after q in

@@ -149,12 +149,20 @@ val metrics : t -> Foc_obs.Metrics.t
       {!Foc_local.Pattern_count} context the engine's sweeps ran on
       (see {!Foc_local.Pattern_count.make_ctx});
     - histogram [sweep.ns]: per-sweep wall time in nanoseconds, fed only
-      when {!Foc_obs.timing_enabled}.
+      when {!Foc_obs.timing_enabled};
+    - [table.*], [join.*], [complement.*], [planner.*], [enum.*]: the
+      relational baseline's work in fallbacks, multi-variable query heads
+      and streamed cursors ({!Foc_eval.Eval_obs}), charged through the
+      engine's {!Foc_eval.Relalg.ctx}.
 
     Parallel sweeps charge per-domain registries that are merged in at
     the join, so the counts are the same for every [jobs] setting except
     the ball counters, which depend on how the anchors were split across
     per-domain caches. *)
+
+val eval_obs : t -> Foc_eval.Eval_obs.t
+(** The baseline counters on {!metrics} and the ring of the conjunction
+    plans the engine's baseline evaluations executed. *)
 
 val stats_line : t -> string
 (** All metrics as one logfmt line ({!Foc_obs.Metrics.line}) — the shared

@@ -240,7 +240,7 @@ module Metrics = struct
   (* one flat field list: counters/gauges as [name=v], histograms as
      [name.count=…] and [name.sum=…] — what the single `# stats:` line
      prints, so a newly registered metric can never drift out of it *)
-  let scalar_fields t =
+  let scalar_fields ~only t =
     List.concat_map
       (fun name ->
         match Hashtbl.find t.tbl name with
@@ -251,9 +251,9 @@ module Metrics = struct
               (name ^ ".count", Logfmt.Int (Histogram.count h));
               (name ^ ".sum", Logfmt.Int (Histogram.sum h));
             ])
-      (sorted_names t)
+      (List.filter only (sorted_names t))
 
-  let line t = Logfmt.line (scalar_fields t)
+  let line ?(only = fun _ -> true) t = Logfmt.line (scalar_fields ~only t)
 
   (* one line per metric, histograms with their nonzero buckets *)
   let report t =

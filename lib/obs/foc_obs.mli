@@ -111,9 +111,10 @@ module Metrics : sig
       maximum (every gauge that is merged is a peak). Raise
       [Invalid_argument] on a name registered with different kinds. *)
 
-  val line : t -> string
-  (** All metrics as one logfmt line, keys sorted; histograms contribute
-      [name.count] and [name.sum]. *)
+  val line : ?only:(string -> bool) -> t -> string
+  (** All metrics (or those whose name satisfies [only]) as one logfmt
+      line, keys sorted; histograms contribute [name.count] and
+      [name.sum]. *)
 
   val report : t -> string list
   (** One logfmt line per metric; histograms include nonzero buckets as

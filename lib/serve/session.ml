@@ -299,8 +299,9 @@ type worker = {
    contexts are mutable (cache table, BFS scratch) and stay per-worker.
    Workers never insert into the session cache and never touch the
    session's registry — each counts (hits included) into its own engine's
-   registry, which [run_batch] merges on the calling domain after the
-   join. *)
+   registry and records its baseline plans in its own engine's ring, both
+   of which [run_batch] folds into the session engine on the calling
+   domain after the join. *)
 let make_worker t gids sids covers hanfs () =
   let cfg = { (Engine.config t.eng) with Engine.trace_file = None } in
   let weng = Engine.create ~config:cfg () in
@@ -396,7 +397,10 @@ let run_batch ?jobs t phis =
             (fun w i -> Engine.run_sentence w.weng arr.(i).comp)
         in
         List.iter
-          (fun w -> Metrics.merge ~into:(metrics t) (Engine.metrics w.weng))
+          (fun w ->
+            Metrics.merge ~into:(metrics t) (Engine.metrics w.weng);
+            Foc_eval.Eval_obs.append_plans ~into:(Engine.eval_obs t.eng)
+              (Engine.eval_obs w.weng))
           workers;
         Array.to_list results
       end)

@@ -72,7 +72,9 @@ val run_batch : ?jobs:int -> t -> Foc_logic.Ast.formula list -> result list
     are never shared across domains). [jobs] defaults to the engine
     config's [jobs]. Results are bit-identical for every [jobs] and equal
     to evaluating each sentence on a fresh engine. Worker engine counters
-    are merged into the session engine after the join. *)
+    are merged into the session engine after the join, and the baseline
+    plans workers recorded are appended to the session engine's ring
+    ({!Foc_nd.Engine.eval_obs}) in worker order. *)
 
 exception Expired
 (** Raised by an {!enumerate} cursor's [next] after a write bumped the

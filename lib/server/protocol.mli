@@ -102,12 +102,15 @@ type stats = {
       (** streaming cursors currently open, across all connections; [0]
           when talking to a pre-streaming server *)
   trace_dropped : int;  (** spans lost to trace ring wrap-around *)
-  session : string;  (** the session's logfmt stats line *)
+  session : string;
+      (** the session registry's logfmt line, less the [planner] part *)
   planner : string;
-      (** the process-wide planner/baseline observability line
-          ({!Foc_eval.Eval_obs.line}) — join orders, complement avoidance,
-          estimated-vs-actual cardinalities, re-plans. Empty when talking
-          to a pre-adaptive-planning server *)
+      (** the relational baseline's part of the session registry
+          ({!Foc_eval.Eval_obs.owns}: [table.*], [join.*],
+          [complement.*], [planner.*], [enum.*]) as one logfmt line —
+          complement avoidance, estimated-vs-actual cardinalities,
+          re-plans, cursor rows. Empty when talking to a
+          pre-adaptive-planning server *)
   source : string;
       (** cold-start artifact provenance: ["snapshot"],
           ["snapshot+wal n=K"] or ["rebuild"]; empty when talking to a
@@ -127,7 +130,9 @@ type explain = {
   result : bool;
   version : int;
   cached : bool;  (** answered from the compiled-sentence cache *)
-  replans : int;  (** process-wide replan count at answer time *)
+  replans : int;
+      (** plans of this evaluation that the adaptive loop re-planned: the
+          number of [replanned] entries in [plans] *)
   plans : plan_info list;
       (** conjunction plans executed by this evaluation, oldest first —
           empty when the evaluation ran no baseline conjunction planning

@@ -6,6 +6,7 @@
 
 module Session = Foc_serve.Session
 module Engine = Foc_nd.Engine
+module Eval_obs = Foc_eval.Eval_obs
 module Scope = Foc_obs.Scope
 module Metrics = Foc_obs.Metrics
 module Store = Foc_store.Store
@@ -92,7 +93,7 @@ type pending = {
   scope : Scope.t;
   sub_ns : int;  (* admission instant *)
   mutable deq_ns : int;  (* dispatcher pop instant *)
-  mutable pseq0 : int;  (* Eval_obs plan sequence at execution start *)
+  mutable pseq0 : int;  (* session plans recorded at execution start *)
   opname : string;
   qsrc : string;  (* query/term/relation text, for the slow log *)
 }
@@ -137,6 +138,7 @@ type t = {
 }
 
 let address t = t.addr
+let session t = t.sess
 
 let version t =
   Mutex.lock t.m;
@@ -244,15 +246,25 @@ let est_int e =
   else if e >= 1e18 then 1_000_000_000_000_000_000
   else int_of_float (e +. 0.5)
 
-let plans_recorded_since seq =
-  List.map
-    (fun (pr : Foc_eval.Eval_obs.plan_record) ->
-      {
-        Protocol.order = pr.order;
-        steps = List.map (fun (est, actual) -> (est_int est, actual)) pr.steps;
-        replanned = pr.replanned;
-      })
-    (Foc_eval.Eval_obs.plans_since seq)
+(* the baseline plans one request executed: the session engine's ring
+   past the count read when the request started *)
+let session_obs t = Engine.eval_obs (Session.engine t.sess)
+
+let request_plans t p =
+  List.filter
+    (fun (pr : Eval_obs.plan_record) -> pr.pseq > p.pseq0)
+    (Eval_obs.plans (session_obs t))
+
+let replans_of plans =
+  List.length
+    (List.filter (fun (pr : Eval_obs.plan_record) -> pr.replanned) plans)
+
+let plan_info (pr : Eval_obs.plan_record) =
+  {
+    Protocol.order = pr.order;
+    steps = List.map (fun (est, actual) -> (est_int est, actual)) pr.steps;
+    replanned = pr.replanned;
+  }
 
 (* Close a request's scope, feed the latency histograms, emit a slow-query
    line when over threshold, and hand the answer (with its breakdown) back
@@ -280,9 +292,10 @@ let finalize t p resp =
       let open Foc_obs.Logfmt in
       let ms ns = Float.of_int ns /. 1e6 in
       let ph name phase = (name, Float (ms (Scope.phase_ns p.scope phase))) in
+      let plans = request_plans t p in
       let order =
-        match List.rev (Foc_eval.Eval_obs.plans_since p.pseq0) with
-        | (last : Foc_eval.Eval_obs.plan_record) :: _ ->
+        match List.rev plans with
+        | (last : Eval_obs.plan_record) :: _ ->
             String.concat "," (List.map string_of_int last.order)
         | [] -> ""
       in
@@ -299,7 +312,7 @@ let finalize t p resp =
              ph "eval_ms" Scope.Eval;
              ph "write_ms" Scope.Write;
              ("plan", Str order);
-             ("replans", Int (Foc_eval.Eval_obs.replans ()));
+             ("replans", Int (replans_of plans));
              ("query", Str p.qsrc) ])
   | _ -> ());
   reply p (resp, Some (timing_of_scope p.scope))
@@ -307,7 +320,7 @@ let finalize t p resp =
 let run_checks t group phis =
   let v = t.version in
   let now = Foc_obs.Clock.now_ns () in
-  let seq0 = Foc_eval.Eval_obs.plan_seq () in
+  let seq0 = Eval_obs.plans_recorded (session_obs t) in
   List.iter
     (fun p ->
       Scope.add_ns p.scope Scope.Batch_wait (now - p.deq_ns);
@@ -388,7 +401,7 @@ let rows_resp ~rows ~cursor ~version ~producer =
     }
 
 let run_one t p =
-  p.pseq0 <- Foc_eval.Eval_obs.plan_seq ();
+  p.pseq0 <- Eval_obs.plans_recorded (session_obs t);
   match p.job with
   | JCheck _ -> assert false (* grouped by the caller *)
   | JCount term ->
@@ -451,6 +464,7 @@ let run_one t p =
                   Session.check t.sess phi))
         with
         | b ->
+            let plans = request_plans t p in
             let hits1 =
               Metrics.Counter.value
                 (Metrics.counter (Session.metrics t.sess)
@@ -461,8 +475,8 @@ let run_one t p =
                 result = b;
                 version = v;
                 cached = hits1 > hits0;
-                replans = Foc_eval.Eval_obs.replans ();
-                plans = plans_recorded_since p.pseq0;
+                replans = replans_of plans;
+                plans = List.map plan_info plans;
               }
         | exception e -> err_of_exn e
       in
@@ -591,6 +605,9 @@ let run_one t p =
       let q x =
         int_of_float (Metrics.Histogram.quantile t.h_read x /. 1e3)
       in
+      (* the session registry holds the baseline's counters too; the wire
+         carries them in their own [planner] line *)
+      let line only = Metrics.line ~only (Session.metrics t.sess) in
       finalize t p
         (Protocol.Stats_r
            {
@@ -599,18 +616,15 @@ let run_one t p =
              p95_us = q 0.95;
              p99_us = q 0.99;
              trace_dropped = Foc_obs.Trace.dropped_events ();
-             session = Session.stats_line t.sess;
-             planner = Foc_eval.Eval_obs.line ();
+             session = line (fun name -> not (Eval_obs.owns name));
+             planner = line Eval_obs.owns;
            });
       locked t (fun () -> t.served <- t.served + 1)
   | JMetrics ->
       Metrics.Gauge.set
         (Metrics.gauge t.obs "trace.dropped_events")
         (Foc_obs.Trace.dropped_events ());
-      let text =
-        Metrics.prometheus
-          [ t.obs; Session.metrics t.sess; Foc_eval.Eval_obs.registry () ]
-      in
+      let text = Metrics.prometheus [ t.obs; Session.metrics t.sess ] in
       finalize t p (Protocol.Metrics_r text);
       locked t (fun () -> t.served <- t.served + 1)
   | JShutdown ->

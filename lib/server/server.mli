@@ -97,6 +97,10 @@ val address : t -> address
 val version : t -> int
 (** Number of writes applied so far. *)
 
+val session : t -> Foc_serve.Session.t
+(** The served session. The dispatcher thread owns it: read it only while
+    no request is in flight. *)
+
 val stop : t -> unit
 (** Initiate shutdown (idempotent), drain in-flight requests, join every
     server thread and release the socket. *)

@@ -322,8 +322,9 @@ let test_scope_phases () =
   let total = finish s in
   Alcotest.(check int) "total_ns matches finish" total (total_ns s);
   let e = phase_ns s Eval and a = phase_ns s Artifact in
-  Alcotest.(check bool) "eval ≈ its own spinning only" true
-    (e >= 3_000_000 && e < 5_000_000);
+  (* no wall-clock upper bound on eval (preemption can stretch any spin);
+     eval double counting the nested artifact would break the sum check *)
+  Alcotest.(check bool) "eval holds its own spinning" true (e >= 3_000_000);
   Alcotest.(check bool) "artifact holds the nested interval" true
     (a >= 2_000_000);
   Alcotest.(check bool) "phases sum within total" true

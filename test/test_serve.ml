@@ -292,6 +292,47 @@ let test_batch_counters_jobs () =
       Alcotest.(check int) "sweep.ns observations" sweeps1 sweeps2;
       Alcotest.(check (list string)) "engine counters" fields1 fields2)
 
+(* The relational baseline charges the engine that runs it: at jobs 2 the
+   worker engines' registries and plan rings are folded into the session
+   engine after the join, so with deterministic plans (no adaptive loop)
+   the session reads the same baseline counters and plan count at jobs 1
+   and jobs 2. The thresholds fall back while compiling, on the session
+   engine; the existential sentences fall back when run, on the workers. *)
+let test_batch_baseline_jobs () =
+  let a = structure 60 17 in
+  let chain = "E(v,w) & E(w,x) & E(x,y) & E(y,z)" in
+  let phis =
+    List.map parse
+      (List.map
+         (fun k -> Printf.sprintf "#(v,w,x,y,z). (%s) >= %d" chain k)
+         [ 1; 2; 3; 4 ]
+      @ List.map
+          (fun c -> Printf.sprintf "exists v w x y z. (%s & %s)" chain c)
+          [ "R(v)"; "G(v)"; "B(v)"; "R(z)" ])
+  in
+  let names =
+    [ "join.count"; "join.probe_rows"; "table.rows_built"; "planner.est_rows" ]
+  in
+  let run jobs =
+    let cfg = { (config Foc.Engine.Direct 1) with adaptive = false } in
+    let s = Foc.Session.create ~config:cfg a in
+    let answers = Foc.Session.run_batch ~jobs s phis in
+    let plans =
+      Foc.Eval_obs.plans_recorded (Foc.Engine.eval_obs (Foc.Session.engine s))
+    in
+    (answers, List.map (counter_value s) names, plans)
+  in
+  let answers1, counts1, plans1 = run 1 in
+  let answers2, counts2, plans2 = run 2 in
+  Alcotest.(check (list bool)) "answers" answers1 answers2;
+  List.iter2
+    (fun name v ->
+      Alcotest.(check bool) (name ^ " charged") true (v > 0))
+    names counts1;
+  Alcotest.(check (list int)) "baseline counters" counts1 counts2;
+  Alcotest.(check bool) "a plan per fallback" true (plans1 >= 8);
+  Alcotest.(check int) "recorded plans" plans1 plans2
+
 (* ---------------- budget cache eviction policy ---------------- *)
 
 (* Unit tests against Budget_cache directly, with [size = Fun.id] so an
@@ -556,6 +597,8 @@ let () =
         [
           Alcotest.test_case "jobs 1 = jobs 2 counters" `Quick
             test_batch_counters_jobs;
+          Alcotest.test_case "jobs 1 = jobs 2 baseline counters" `Quick
+            test_batch_baseline_jobs;
         ] );
       ( "canonical AST",
         [

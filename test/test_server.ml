@@ -24,21 +24,23 @@ let fresh_check a phi =
 let sock_counter = ref 0
 
 let with_server ?(jobs = 2) ?(max_queue = 256) ?(client_budget = 0)
-    ?(slow_ms = 0.) ?slow_log ?(max_cursors = 8) ?(n = 24) ?(seed = 7) f =
+    ?(slow_ms = 0.) ?slow_log ?(max_cursors = 8) ?(n = 24) ?(seed = 7)
+    ?structure:a ?(stats_buckets = 64) f =
   incr sock_counter;
   let path =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "foc_test_%d_%d.sock" (Unix.getpid ()) !sock_counter)
   in
-  let a = structure n seed in
+  let a = match a with Some a -> a | None -> structure n seed in
   let cfg =
     {
       (Foc.Server.default_config (Foc.Server.Unix_sock path)) with
       Foc.Server.engine =
         { Foc.Engine.default_config with
           backend = Foc.Engine.Direct;
-          jobs = 1 };
+          jobs = 1;
+          stats_buckets };
       jobs;
       max_queue;
       client_budget;
@@ -304,8 +306,8 @@ let contains hay needle =
 
 (* a conjunctive counting sentence too wide for the decomposition kernels
    (5 counted variables > max_width): the engine falls back to the
-   relational-algebra baseline, so plan_and runs and Eval_obs records a
-   join order with per-step predicted/actual rows *)
+   relational-algebra baseline, so plan_and runs and the session engine's
+   plan ring records a join order with per-step predicted/actual rows *)
 let planned_q =
   "#(v,w,x,y,z). (E(v,w) & E(w,x) & E(x,y) & E(y,z)) >= 1"
 
@@ -359,10 +361,12 @@ let test_timing_breakdown () =
 let test_explain_roundtrip () =
   with_server (fun srv a ->
       let c = connect srv in
-      (* evaluate the reference answer BEFORE capturing the plan sequence:
-         the fresh engine feeds the same process-wide Eval_obs registry *)
       let want = fresh_check a planned_q in
-      let seq0 = Foc.Eval_obs.plan_seq () in
+      (* no request is in flight: the session engine's ring is quiet *)
+      let obs =
+        Foc.Engine.eval_obs (Foc.Session.engine (Foc.Server.session srv))
+      in
+      let seq0 = Foc.Eval_obs.plans_recorded obs in
       (match Foc.Server_client.rpc c (P.Explain planned_q) with
       | P.Explain_r e ->
           Alcotest.(check bool) "explain agrees with a fresh engine" want
@@ -371,9 +375,13 @@ let test_explain_roundtrip () =
             e.P.cached;
           Alcotest.(check bool) "at least one plan reported" true
             (e.P.plans <> []);
-          (* the wire plans mirror exactly what Eval_obs recorded (same
-             process: the server dispatcher feeds the same registry) *)
-          let recorded = Foc.Eval_obs.plans_since seq0 in
+          (* the wire plans mirror exactly what the session engine
+             recorded for this request *)
+          let recorded =
+            List.filter
+              (fun (pr : Foc.Eval_obs.plan_record) -> pr.pseq > seq0)
+              (Foc.Eval_obs.plans obs)
+          in
           Alcotest.(check int) "plan count matches" (List.length recorded)
             (List.length e.P.plans);
           List.iter2
@@ -399,6 +407,74 @@ let test_explain_roundtrip () =
       | r -> Alcotest.fail (P.response_line r));
       Foc.Server_client.close c)
 
+let read_lines path =
+  let ic = open_in path in
+  let lines = ref [] in
+  (try
+     while true do
+       lines := input_line ic :: !lines
+     done
+   with End_of_file -> ());
+  close_in ic;
+  List.rev !lines
+
+(* [replans] in explain and the slow log counts this request's re-planned
+   plans, not every re-plan the process ever made. Without statistics the
+   planner misjudges the A/B correlation on (x,y) by more than the replan
+   ratio, so the second sentence over the same conjunct list re-plans and
+   the third, over a new list, does not. *)
+let test_request_replans () =
+  let sg = Foc.Signature.of_list [ ("S", 1); ("A", 2); ("B", 2); ("C", 2) ] in
+  let a =
+    Foc.Structure.create sg ~order:60
+      [ ("S", List.init 16 (fun i -> [| i |]));
+        ("A", List.init 32 (fun i -> [| i; i |]));
+        ( "B",
+          List.concat_map
+            (fun i -> [ [| i; i |]; [| i; (i + 1) mod 32 |] ])
+            (List.init 32 Fun.id) );
+        ("C", List.init 32 (fun i -> [| i; (i + 40) mod 60 |])) ]
+  in
+  let body = "S(x) & A(x,y) & C(x,z) & B(x,y) & C(u,w)" in
+  let sentences =
+    [ Printf.sprintf "#(x,y,z,u,w). (%s) >= 1" body;
+      Printf.sprintf "#(x,y,z,u,w). (%s) >= 2" body;
+      "#(x,y,z,u,w). (S(x) & A(x,y) & B(x,y) & C(z,u) & C(u,w)) >= 1" ]
+  in
+  let path = Filename.temp_file "foc_replans" ".log" in
+  let replans =
+    with_server ~structure:a ~stats_buckets:0 ~slow_ms:1e-6 ~slow_log:path
+      (fun srv _ ->
+        let c = connect srv in
+        let replans =
+          List.map
+            (fun src ->
+              match Foc.Server_client.rpc c (P.Explain src) with
+              | P.Explain_r e ->
+                  let replanned =
+                    List.filter (fun (pi : P.plan_info) -> pi.P.replanned)
+                      e.P.plans
+                  in
+                  Alcotest.(check int) "replans = replanned plans"
+                    (List.length replanned) e.P.replans;
+                  e.P.replans
+              | r -> Alcotest.fail (P.response_line r))
+            sentences
+        in
+        Foc.Server_client.close c;
+        replans)
+  in
+  Alcotest.(check (list int)) "per-request replans" [ 0; 1; 0 ] replans;
+  let slow =
+    List.filter (fun l -> contains l "msg=slow_query") (read_lines path)
+  in
+  Sys.remove path;
+  Alcotest.(check (list bool)) "slow log replans"
+    [ true; true; true ]
+    (List.map2
+       (fun l n -> contains l (Printf.sprintf "replans=%d " n))
+       slow replans)
+
 let test_slow_log () =
   let path = Filename.temp_file "foc_slow" ".log" in
   (* threshold of 1ns: every request is slow *)
@@ -409,16 +485,9 @@ let test_slow_log () =
       | r -> Alcotest.fail (P.response_line r));
       Foc.Server_client.close c);
   (* server stopped: the sink is closed and flushed *)
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
+  let lines = read_lines path in
   Sys.remove path;
-  let slow_lines = List.filter (fun l -> contains l "msg=slow_query") !lines in
+  let slow_lines = List.filter (fun l -> contains l "msg=slow_query") lines in
   Alcotest.(check bool) "a slow line was logged" true (slow_lines <> []);
   let l = List.hd slow_lines in
   List.iter
@@ -906,6 +975,8 @@ let () =
           Alcotest.test_case "timing breakdown" `Quick test_timing_breakdown;
           Alcotest.test_case "explain round-trip" `Quick
             test_explain_roundtrip;
+          Alcotest.test_case "per-request replans" `Quick
+            test_request_replans;
           Alcotest.test_case "slow-query log" `Quick test_slow_log;
           Alcotest.test_case "metrics exposition" `Quick test_metrics_op;
           Alcotest.test_case "client timeout" `Quick test_client_timeout;

@@ -10,6 +10,7 @@ module Stats = Foc_stats.Stats
 module Structure = Foc_data.Structure
 module Relalg = Foc_eval.Relalg
 module Eval_obs = Foc_eval.Eval_obs
+module Metrics = Foc_obs.Metrics
 
 let preds = Pred.standard
 
@@ -208,7 +209,8 @@ let prop_stats_neutral =
       let unplanned = Relalg.count ~plan:false preds a fvars phi in
       let planned = Relalg.count preds a fvars phi in
       let ctx =
-        Relalg.make_ctx ~stats_for:(fun a -> Stats.collect a) ~buckets:4 ()
+        Relalg.make_ctx ~stats_for:(fun a -> Stats.collect a) ~buckets:4
+          ~metrics:(Foc_obs.Metrics.create ()) ()
       in
       let with_stats = Relalg.count ~ctx preds a fvars phi in
       (* second evaluation through the same ctx: the re-planned order
@@ -262,19 +264,25 @@ let test_adaptive_replan () =
   in
   let expected = Relalg.count ~plan:false preds a fvars phi in
   Alcotest.(check int) "scenario sanity" 16 expected;
-  Eval_obs.reset ();
   (* statistics off (buckets 0), adaptive on: run 1 plans with uniform
      estimates and must misjudge the correlated join *)
-  let ctx = Relalg.make_ctx ~buckets:0 () in
+  let m = Metrics.create () in
+  let ctx = Relalg.make_ctx ~buckets:0 ~metrics:m () in
+  let orders () =
+    List.map
+      (fun (p : Eval_obs.plan_record) -> p.order)
+      (Eval_obs.plans (Relalg.obs ctx))
+  in
   let r1 = Relalg.count ~ctx preds a fvars phi in
-  let orders1 = Eval_obs.plan_orders () in
+  let orders1 = orders () in
   let r2 = Relalg.count ~ctx preds a fvars phi in
-  let orders2 = Eval_obs.plan_orders () in
+  let orders2 = orders () in
   Alcotest.(check int) "run 1 result" expected r1;
   Alcotest.(check int) "run 2 result" expected r2;
   Alcotest.(check bool) "estimation error observed" true
-    (Eval_obs.err_max_x100 () > 800);
-  Alcotest.(check bool) "re-planned" true (Eval_obs.replans () >= 1);
+    (Metrics.value m "planner.err_max_x100" > 800);
+  Alcotest.(check bool) "re-planned" true
+    (Metrics.value m "planner.replans" >= 1);
   (* the recorded orders actually differ *)
   let last l = List.nth l (List.length l - 1) in
   Alcotest.(check bool) "order flip" true
@@ -302,13 +310,13 @@ let test_adaptive_off () =
         Ast.Rel ("B", [| "x"; "y" |]) )
   in
   let expected = Relalg.count ~plan:false preds a [ "x"; "y" ] phi in
-  Eval_obs.reset ();
-  let ctx = Relalg.make_ctx ~buckets:0 ~adaptive:false () in
+  let m = Metrics.create () in
+  let ctx = Relalg.make_ctx ~buckets:0 ~adaptive:false ~metrics:m () in
   let r1 = Relalg.count ~ctx preds a [ "x"; "y" ] phi in
   let r2 = Relalg.count ~ctx preds a [ "x"; "y" ] phi in
   Alcotest.(check int) "run 1 result" expected r1;
   Alcotest.(check int) "run 2 result" expected r2;
-  Alcotest.(check int) "no replans" 0 (Eval_obs.replans ())
+  Alcotest.(check int) "no replans" 0 (Metrics.value m "planner.replans")
 
 (* ---------------- stats through the session layer --------------------- *)
 

@@ -9,6 +9,13 @@
 open Foc_logic
 open QCheck.Gen
 module Table = Foc_eval.Table
+module Metrics = Foc_obs.Metrics
+
+(* run [f] charging a fresh registry; read it afterwards by name *)
+let charged f =
+  let m = Metrics.create () in
+  let v = Foc_eval.Eval_obs.charging (Foc_eval.Eval_obs.create m) f in
+  (v, Metrics.value m)
 
 let preds = Pred.standard
 let sign = Foc_data.Signature.of_list [ ("E", 2); ("B", 1); ("R", 1) ]
@@ -122,17 +129,15 @@ let test_build_side () =
     t_of [| "x"; "y" |]
       [ [| 0; 1 |]; [| 0; 2 |]; [| 2; 0 |]; [| 3; 1 |]; [| 4; 4 |] ]
   in
-  Foc_eval.Eval_obs.reset ();
-  let j = Table.join big small in
+  let j, v = charged (fun () -> Table.join big small) in
   Alcotest.(check int) "join rows" 3 (Table.cardinal j);
   Alcotest.(check int) "build side is the smaller table" 2
-    (Foc_eval.Eval_obs.join_build_rows ());
+    (v "join.build_rows");
   Alcotest.(check int) "probe side is the bigger table" 5
-    (Foc_eval.Eval_obs.join_probe_rows ());
-  Foc_eval.Eval_obs.reset ();
-  let j' = Table.join small big in
+    (v "join.probe_rows");
+  let j', v = charged (fun () -> Table.join small big) in
   Alcotest.(check int) "same choice from the other argument order" 2
-    (Foc_eval.Eval_obs.join_build_rows ());
+    (v "join.build_rows");
   Alcotest.(check bool) "same rows either way" true
     (Table.equal j (Table.align j' (Table.vars j)))
 
@@ -249,15 +254,18 @@ let test_planner_avoids_complement () =
         ("B", List.map (fun v -> [| v |]) [ 0; 2; 4; 6 ]);
         ("R", List.map (fun v -> [| v |]) [ 1; 3; 5 ]) ]
   in
-  Foc_eval.Eval_obs.reset ();
-  let planned = Foc_eval.Relalg.count preds a [ "x"; "y" ] phi in
-  Alcotest.(check int) "no full complement" 0 (Foc_eval.Eval_obs.complements ());
+  let planned, v =
+    charged (fun () -> Foc_eval.Relalg.count preds a [ "x"; "y" ] phi)
+  in
+  Alcotest.(check int) "no full complement" 0
+    (v "complement.full_materialisations");
   Alcotest.(check bool) "negation became an anti-join" true
-    (Foc_eval.Eval_obs.antijoins () > 0);
-  Foc_eval.Eval_obs.reset ();
-  let unplanned = Foc_eval.Relalg.count ~plan:false preds a [ "x"; "y" ] phi in
+    (v "join.antijoins" > 0);
+  let unplanned, v =
+    charged (fun () -> Foc_eval.Relalg.count ~plan:false preds a [ "x"; "y" ] phi)
+  in
   Alcotest.(check bool) "seed strategy does take the complement" true
-    (Foc_eval.Eval_obs.complements () > 0);
+    (v "complement.full_materialisations" > 0);
   Alcotest.(check int) "same count either way" unplanned planned
 
 let () =
